@@ -45,6 +45,12 @@ class Bucket(enum.Enum):
     ALLOC_STALL = "alloc_stall"
 
 
+# Identity hashing runs in C; ``Enum.__hash__`` hashes the member name in
+# Python on every ``Clock.charge``.  Members compare by identity, so the
+# two hashes agree with equality, and dict order does not depend on them.
+Bucket.__hash__ = object.__hash__
+
+
 class LaneSet:
     """Per-worker time lanes inside one parallel region.
 
@@ -232,8 +238,8 @@ class Clock:
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         if bucket is None:
-            target = self.current
-        elif isinstance(bucket, Bucket):
+            target = self._context[-1]
+        elif bucket.__class__ is Bucket:
             target = bucket
         else:
             raise ValueError(

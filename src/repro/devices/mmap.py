@@ -10,7 +10,7 @@ frequency for streaming access (Section 6).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from ..errors import SegmentationFault
 from .base import AccessPattern, Device
@@ -59,16 +59,17 @@ class MappedFile:
         return self.base <= address < self.base + self.size
 
     def _pages_for(self, address: int, nbytes: int) -> range:
-        if not self.contains(address) or not self.contains(
-            address + max(nbytes, 1) - 1
-        ):
+        base = self.base
+        last = address + (nbytes if nbytes > 1 else 1) - 1
+        if address < base or last >= base + self.size:
             raise SegmentationFault(
                 f"access [{address:#x}, +{nbytes}) outside mapping "
-                f"[{self.base:#x}, +{self.size})"
+                f"[{base:#x}, +{self.size})"
             )
-        first = (address - self.base) // self.page_size
-        last = (address - self.base + max(nbytes, 1) - 1) // self.page_size
-        return range(first, last + 1)
+        page_size = self.page_size
+        return range(
+            (address - base) // page_size, (last - base) // page_size + 1
+        )
 
     def _maybe_sigbus(self, address: int, misses: int) -> None:
         """Simulated SIGBUS: an I/O error surfacing through a page fault.
@@ -99,10 +100,33 @@ class MappedFile:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> Tuple[int, int]:
         """Read ``nbytes`` at ``address``; faults fill from the device."""
-        pages = self._pages_for(address, nbytes)
-        hits, misses = self.cache.access(pages, write=False, pattern=pattern)
-        self.page_faults += misses
-        self._maybe_sigbus(address, misses)
+        return self.load_spans(((address, nbytes),), pattern)
+
+    def load_spans(
+        self,
+        spans: Iterable[Tuple[int, int]],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> Tuple[int, int]:
+        """Read ``(address, nbytes)`` spans in order; returns summed hits
+        and misses.
+
+        Each span is one page-cache access with its own SIGBUS consult,
+        exactly as a :meth:`load` of it would be, and a span outside the
+        mapping raises :class:`SegmentationFault` after the spans before
+        it completed.
+        """
+        access = self.cache.access
+        pages_for = self._pages_for
+        maybe_sigbus = self._maybe_sigbus
+        hits = misses = 0
+        for address, nbytes in spans:
+            span_hits, span_misses = access(
+                pages_for(address, nbytes), False, pattern
+            )
+            self.page_faults += span_misses
+            maybe_sigbus(address, span_misses)
+            hits += span_hits
+            misses += span_misses
         return hits, misses
 
     def store(

@@ -72,8 +72,9 @@ class PageCache:
 
     # ------------------------------------------------------------------
     def _evict_over_limit(self) -> None:
-        while len(self._pages) > self.max_pages:
-            evicted, was_dirty = self._pages.popitem(last=False)
+        popitem = self._pages.popitem
+        for _ in range(len(self._pages) - self.max_pages):
+            evicted, was_dirty = popitem(last=False)
             self.evictions += 1
             if was_dirty:
                 self.writebacks += 1
@@ -82,11 +83,6 @@ class PageCache:
                 # page granularity: it lands whole or not at all, so it
                 # commits without a crash check.
                 self.durable_image.commit((evicted,))
-
-    def _insert(self, page: int, dirty: bool) -> None:
-        self._pages[page] = dirty
-        self._pages.move_to_end(page)
-        self._evict_over_limit()
 
     def resize(self, capacity: int) -> int:
         """Re-carve this cache to ``capacity`` bytes; returns new max pages.
@@ -142,23 +138,30 @@ class PageCache:
         write: bool = False,
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> Tuple[int, int]:
-        """Touch ``pages``; fetch misses from the device.
+        """Touch distinct ``pages``; fetch misses from the device.
 
-        Returns ``(hits, misses)``.  A write marks pages dirty; the write
-        reaches the device later via writeback, not synchronously — which
-        is why batched sequential writes (promotion buffers) are so much
-        cheaper than random read-modify-writes.
+        Returns ``(hits, misses)``.  Cached pages move to the MRU end;
+        missing pages are read in one device request per contiguous run,
+        then inserted at the MRU end, and the cache evicts down to its
+        limit once.  That is page-for-page the LRU state, eviction order
+        and writeback sequence of inserting and evicting one page at a
+        time, because inserted pages are not cached and eviction pops
+        from the LRU end.  A write marks pages dirty; the write reaches
+        the device later via writeback, not synchronously — which is why
+        batched sequential writes (promotion buffers) are so much cheaper
+        than random read-modify-writes.
         """
-        hits = misses = 0
+        cached = self._pages
+        move_to_end = cached.move_to_end
+        hits = 0
         miss_pages = []
         for page in pages:
-            if page in self._pages:
+            if page in cached:
                 hits += 1
-                self._pages.move_to_end(page)
+                move_to_end(page)
                 if write:
-                    self._pages[page] = True
+                    cached[page] = True
             else:
-                misses += 1
                 miss_pages.append(page)
         if miss_pages:
             # One request per contiguous run of missing pages.
@@ -167,7 +170,10 @@ class PageCache:
                 len(miss_pages) * self.page_size, pattern, requests=runs
             )
             for page in miss_pages:
-                self._insert(page, dirty=write)
+                cached[page] = write
+            if len(cached) > self.max_pages:
+                self._evict_over_limit()
+        misses = len(miss_pages)
         self.hits += hits
         self.misses += misses
         return hits, misses
@@ -190,8 +196,14 @@ class PageCache:
         runs = _count_runs(pages)
         self.device.write(len(pages) * self.page_size, requests=runs)
         self.durable_image.commit(pages)
+        cached = self._pages
         for page in pages:
-            self._insert(page, dirty=False)
+            # A written page may already be cached, so it can be evicted
+            # and re-inserted within one batch: evict page by page.
+            cached[page] = False
+            cached.move_to_end(page)
+            if len(cached) > self.max_pages:
+                self._evict_over_limit()
         return len(pages)
 
     def write_metadata(self, pages: Iterable[int], safepoint: str) -> int:

@@ -181,8 +181,7 @@ class Workload:
             cached = self.bm.get_or_compute(
                 old_rdd, old_index, self._compute(old_rdd, old_index)
             )
-            for chunk in cached.chunks:
-                vm.read_object(chunk, AccessPattern.RANDOM)
+            vm.read_many(cached.chunks, AccessPattern.RANDOM)
         vm.compute(64)
         if (step + 1) % GC_EVERY == 0:
             vm.major_gc()

@@ -249,12 +249,7 @@ class SparkContext:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> None:
         """Mutator reads every chunk of a partition (H2-aware)."""
-        for chunk in part.chunks:
-            self.vm.read_object(chunk, pattern)
+        self.vm.read_many(part.chunks, pattern)
 
     def shuffle(self, nbytes: int, records: int = 0) -> None:
         self.shuffle_manager.shuffle(nbytes, records)
-
-    @property
-    def uses_teraheap(self) -> bool:
-        return self.conf.cache_policy is CachePolicy.TERAHEAP

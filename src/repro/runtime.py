@@ -10,7 +10,7 @@ cost — allocation, barriers, GC, S/D, device I/O — is accounted.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .clock import Bucket, Clock
 from .config import VMConfig
@@ -30,7 +30,13 @@ from .faults import (
 from .faults.plan import FaultConfig
 from .faults.policy import ResiliencePolicy
 from .heap.audit import HeapAuditor, make_auditor
-from .heap.store import HeapStore, get_store
+from .heap.store import (
+    SPACE_FREED,
+    SPACE_H2,
+    SPACE_OLD,
+    HeapStore,
+    get_store,
+)
 from .gc.parallel_scavenge import (
     ParallelScavenge,
     ParallelScavengeJDK11,
@@ -493,32 +499,66 @@ class JavaVM:
         pattern: AccessPattern = AccessPattern.SEQUENTIAL,
     ) -> None:
         """A mutator reads an object's contents."""
-        if obj.space is SpaceId.FREED:
-            raise SegmentationFault(f"read of reclaimed object #{obj.oid}")
-        if obj.space is SpaceId.H2 and self.h2 is not None:
-            self.h2.mutator_load(obj, pattern)
-            return
-        if self.config.collector == "memmode" and self.old_gen_device is not None:
-            # Memory mode: every heap access goes through the DRAM/NVM blend.
-            self.old_gen_device.read(obj.size, pattern)
-            return
-        # DRAM-resident object (or NVM under Panthera's old gen).
-        if (
-            self.config.collector == "panthera"
-            and self.old_gen_device is not None
-            and obj.space is SpaceId.OLD
-        ):
+        self.read_many((obj,), pattern)
+
+    def read_many(
+        self,
+        objs: Iterable[HeapObject],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> None:
+        """A mutator reads each object's contents, in order.
+
+        The one mutator read kernel.  Consecutive H2 objects go down as
+        ``(address, size)`` spans to one batched page-cache pass; every
+        other object is charged in place (DRAM, or the NVM old generation
+        under memory mode and Panthera), flushing the pending spans first
+        so charges land in object order.  A reclaimed object raises
+        :class:`SegmentationFault` after every object before it was read.
+        """
+        h2 = self.h2
+        device = self.old_gen_device
+        collector = self.config.collector
+        memmode = collector == "memmode" and device is not None
+        panthera = None
+        if collector == "panthera" and device is not None:
             from .gc.panthera import PantheraCollector
 
-            collector = self.collector
-            if isinstance(collector, PantheraCollector) and collector.on_nvm(
-                obj
+            if isinstance(self.collector, PantheraCollector):
+                panthera = self.collector
+        charge = self.clock.charge
+        dram_latency = self.cost.dram_latency
+        dram_read_bw = self.cost.dram_read_bw
+        spans: List[Tuple[int, int]] = []
+        store = None
+        for obj in objs:
+            oid = obj.oid
+            if obj._store is not store:
+                store = obj._store
+                space_col = store.space
+                address_col = store.address
+                size_col = store.size
+            code = space_col[oid]
+            if code == SPACE_H2 and h2 is not None:
+                spans.append((address_col[oid], size_col[oid]))
+                continue
+            if spans:
+                h2.mutator_load_spans(spans, pattern)
+                spans = []
+            if code == SPACE_FREED:
+                raise SegmentationFault(f"read of reclaimed object #{oid}")
+            size = size_col[oid]
+            if memmode or (
+                panthera is not None
+                and code == SPACE_OLD
+                and panthera.on_nvm(obj)
             ):
-                self.old_gen_device.read(obj.size, pattern)
-                return
-        self.clock.charge(
-            self.cost.dram_latency + obj.size / self.cost.dram_read_bw
-        )
+                # Memory mode: every heap access goes through the
+                # DRAM/NVM blend; Panthera: an old object on NVM.
+                device.read(size, pattern)
+            else:
+                charge(dram_latency + size / dram_read_bw)
+        if spans:
+            h2.mutator_load_spans(spans, pattern)
 
     def compute(self, operations: int, parallel: bool = True) -> None:
         """Charge pure mutator work for ``operations`` record operations."""

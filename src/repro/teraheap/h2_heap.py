@@ -10,7 +10,7 @@ stays in DRAM (Figure 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..clock import Clock
 from ..config import TeraHeapConfig
@@ -610,10 +610,30 @@ class H2Heap:
         self, obj: HeapObject, pattern: AccessPattern = AccessPattern.SEQUENTIAL
     ) -> None:
         """A mutator reads an H2 object: fault pages in through the cache."""
-        self._io(
-            "h2_mutator_load",
-            lambda: self.mapping.load(obj.address, obj.size, pattern),
-        )
+        self.mutator_load_spans(((obj.address, obj.size),), pattern)
+
+    def mutator_load_spans(
+        self,
+        spans: Iterable[Tuple[int, int]],
+        pattern: AccessPattern = AccessPattern.SEQUENTIAL,
+    ) -> None:
+        """A mutator reads H2 objects, given as ``(address, size)`` spans
+        in program order, through one batched page-cache pass.
+
+        Under a resilience policy each span stays its own
+        ``h2_mutator_load`` operation with its own retry and SIGBUS
+        consult, so fault plans see the same operation sequence as one
+        :meth:`mutator_load` per object.
+        """
+        if self.resilience is None:
+            self.mapping.load_spans(spans, pattern)
+            return
+        load = self.mapping.load
+        for address, size in spans:
+            self._io(
+                "h2_mutator_load",
+                lambda a=address, n=size: load(a, n, pattern),
+            )
 
     def mutator_store(self, obj: HeapObject, nbytes: int = 8) -> None:
         """A mutator updates a field of an H2 object (read-modify-write)."""
