@@ -139,16 +139,13 @@ class GiraphJob:
         vm = self.vm
         if nbytes <= MAX_ARRAY_OBJECT:
             return frame.push(vm.allocate(max(nbytes, 64), name=name))
-        pieces = []
-        remaining = nbytes
-        i = 0
-        while remaining > 0:
-            piece = min(MAX_ARRAY_OBJECT, remaining)
-            pieces.append(
-                frame.push(vm.allocate(max(piece, 64), name=f"{name}.{i}"))
-            )
-            remaining -= piece
-            i += 1
+        full, rest = divmod(nbytes, MAX_ARRAY_OBJECT)
+        sizes = [MAX_ARRAY_OBJECT] * full
+        if rest:
+            sizes.append(max(rest, 64))
+        pieces = vm.allocate_many(
+            sizes, [f"{name}.{i}" for i in range(len(sizes))], frame=frame
+        )
         return frame.push(
             vm.allocate(max(64, 8 * len(pieces)), refs=pieces, name=name)
         )
@@ -365,14 +362,17 @@ class GiraphJob:
             v = int(v)
             self.current_partition = v % parts
             vertex = self._vertex_for_compute(v)
+            # The vertex read stays apart: an offloaded edge array is
+            # reloaded (allocated and charged) before it can be read.
             vm.read_object(vertex)
             edges = self._edges_for_compute(v)
-            if edges is not None:
-                vm.read_object(edges)
             msg = self.incoming_msgs.get(v)
-            if msg is not None:
-                vm.read_object(msg)
-            elif v in self.offloaded_msgs and self.ooc is not None:
+            vm.read_many([o for o in (edges, msg) if o is not None])
+            if (
+                msg is None
+                and v in self.offloaded_msgs
+                and self.ooc is not None
+            ):
                 # The store was pushed out-of-core mid-superstep; pay the
                 # device round trip for this vertex's batch.
                 self.ooc.reload(

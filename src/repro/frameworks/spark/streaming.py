@@ -312,22 +312,6 @@ class StreamingExecutor:
             )
         )
 
-    def _alloc_chunks(
-        self,
-        frame: StackFrame,
-        count: int,
-        chunk_size: int,
-        scan_factor: float,
-        name: str,
-    ) -> List[HeapObject]:
-        vm = self.vm
-        chunks = []
-        for i in range(count):
-            chunk = vm.allocate(chunk_size, name=f"{name}-c{i}")
-            chunk.scan_factor = scan_factor
-            chunks.append(frame.push(chunk))
-        return chunks
-
     def _run_block(
         self,
         stages: List[RDD],
@@ -346,12 +330,12 @@ class StreamingExecutor:
         clock.charge(cost.stream_block_dispatch_cost, Bucket.OTHER)
         vm.compute(source.lineage.ops_for_chunks(bspec.num_chunks))
         frame = self._open()
-        chunks = self._alloc_chunks(
-            frame,
-            bspec.num_chunks,
-            bspec.chunk_size,
-            bspec.scan_factor,
-            f"{source.name}-p{p_index}-b{bspec.block}",
+        prefix = f"{source.name}-p{p_index}-b{bspec.block}-c"
+        chunks = vm.allocate_many(
+            [bspec.chunk_size] * bspec.num_chunks,
+            [f"{prefix}{i}" for i in range(bspec.num_chunks)],
+            frame=frame,
+            scan_factor=bspec.scan_factor,
         )
         size = bspec.size_bytes
         result.inflight_bytes += size
@@ -381,12 +365,12 @@ class StreamingExecutor:
             # is the two-blocks-per-slot moment the budget must cover.
             self._admit(n_out * out_spec.chunk_size, outputs)
             new_frame = self._open()
-            out_chunks = self._alloc_chunks(
-                new_frame,
-                n_out,
-                out_spec.chunk_size,
-                out_spec.scan_factor,
-                f"{stage.name}-p{p_index}-b{bspec.block}",
+            prefix = f"{stage.name}-p{p_index}-b{bspec.block}-c"
+            out_chunks = vm.allocate_many(
+                [out_spec.chunk_size] * n_out,
+                [f"{prefix}{i}" for i in range(n_out)],
+                frame=new_frame,
+                scan_factor=out_spec.scan_factor,
             )
             self._stage_other[si] = clock.total(Bucket.OTHER)
             out_size = n_out * out_spec.chunk_size
@@ -458,12 +442,12 @@ class StreamingExecutor:
                 blk.frame = None
                 result.inflight_bytes -= blk.size_bytes
                 continue
-            chunks = self._alloc_chunks(
-                frame,
-                blk.num_chunks,
-                blk.chunk_size,
-                blk.scan_factor,
-                f"{rdd.name}-p{p_index}-b{blk.block}-u",
+            prefix = f"{rdd.name}-p{p_index}-b{blk.block}-u-c"
+            chunks = vm.allocate_many(
+                [blk.chunk_size] * blk.num_chunks,
+                [f"{prefix}{i}" for i in range(blk.num_chunks)],
+                frame=frame,
+                scan_factor=blk.scan_factor,
             )
             all_chunks.extend(chunks)
             if blk.frame is not None:

@@ -27,6 +27,7 @@ from .store import (
     MIN_OBJECT_SIZE,
     NO_SPACE,
     get_store,
+    object_flags,
 )
 
 __all__ = [
@@ -189,18 +190,11 @@ class HeapObject:
             )
         if store is None:
             store = get_store()
-        flags = 0
-        if is_metadata:
-            flags |= FLAG_METADATA
-        if is_reference:
-            flags |= FLAG_REFERENCE
-        if serializable:
-            flags |= FLAG_SERIALIZABLE
         oid = store.new_object(
             size,
             [o.oid for o in refs] if refs else (),
             name,
-            flags,
+            object_flags(is_metadata, is_reference, serializable),
             scan_factor,
         )
         self.oid = oid

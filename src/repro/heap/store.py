@@ -70,6 +70,21 @@ FLAG_REFERENCE = 2
 FLAG_SERIALIZABLE = 4
 FLAG_H2_CANDIDATE = 8
 
+
+def object_flags(
+    is_metadata: bool, is_reference: bool, serializable: bool
+) -> int:
+    """The ``flags`` bitfield of a new object."""
+    flags = 0
+    if is_metadata:
+        flags |= FLAG_METADATA
+    if is_reference:
+        flags |= FLAG_REFERENCE
+    if serializable:
+        flags |= FLAG_SERIALIZABLE
+    return flags
+
+
 _YOUNG_CODES = (SPACE_EDEN, SPACE_FROM, SPACE_TO)
 _H1_CODES = (SPACE_EDEN, SPACE_FROM, SPACE_TO, SPACE_OLD)
 

@@ -10,6 +10,7 @@ cost — allocation, barriers, GC, S/D, device I/O — is accounted.
 from __future__ import annotations
 
 import os
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .clock import Bucket, Clock
@@ -31,11 +32,14 @@ from .faults.plan import FaultConfig
 from .faults.policy import ResiliencePolicy
 from .heap.audit import HeapAuditor, make_auditor
 from .heap.store import (
+    MIN_OBJECT_SIZE,
+    SPACE_EDEN,
     SPACE_FREED,
     SPACE_H2,
     SPACE_OLD,
     HeapStore,
     get_store,
+    object_flags,
 )
 from .gc.parallel_scavenge import (
     ParallelScavenge,
@@ -45,7 +49,7 @@ from .gc.parallel_scavenge import (
 from .heap.barriers import WriteBarrier
 from .heap.heap import ManagedHeap
 from .heap.object_model import HeapObject, SpaceId
-from .heap.roots import RootSet
+from .heap.roots import RootSet, StackFrame
 from .serdes.serializer import KryoSerializer
 from .teraheap.h2_heap import H2Heap
 from .teraheap.hints import HintInterface
@@ -53,6 +57,9 @@ from .units import KiB
 
 #: granularity of temporary-object allocation bursts (S/D pressure)
 TEMP_CHUNK = 8 * KiB
+
+#: a bare handle: ``allocate_many`` creates the store row itself
+_new_handle = HeapObject.__new__
 
 
 class JavaVM:
@@ -271,36 +278,125 @@ class JavaVM:
         serializable: bool = True,
     ) -> HeapObject:
         """Allocate one object, collecting as needed (may raise OOM)."""
-        obj = HeapObject(
-            size,
-            refs,
-            name=name,
+        return self.allocate_many(
+            (size,),
+            (name,),
+            refs=refs,
             is_metadata=is_metadata,
             is_reference=is_reference,
             serializable=serializable,
-            store=self.store,
-        )
-        self.clock.charge(self.cost.alloc_cost, Bucket.OTHER)
-        if self.heap.try_allocate(obj):
-            return obj
-        # Slow path: collect, escalating from scavenge to full GC.
+        )[0]
+
+    def allocate_many(
+        self,
+        sizes: Iterable[int],
+        names: Iterable[str],
+        frame: Optional[StackFrame] = None,
+        scan_factor: float = 1.0,
+        refs: Iterable[HeapObject] = (),
+        is_metadata: bool = False,
+        is_reference: bool = False,
+        serializable: bool = True,
+        temporary: bool = False,
+    ) -> List[HeapObject]:
+        """Allocate one object per ``(size, name)`` pair, in order.
+
+        The one allocation kernel: :meth:`allocate` is its one-element
+        case and :meth:`allocate_temp` one call.  Every object gets the
+        same ``scan_factor``, flags and outgoing ``refs``.  Each object in
+        turn gets its store row, its own ``alloc_cost`` charge and its
+        placement, and is pushed onto ``frame`` (when given) before the
+        next one exists, so a GC fired mid-batch sees the objects
+        allocated so far as roots.  When the heap is a plain
+        :class:`ManagedHeap` without pretenuring and eden has room, the
+        object is bump-allocated in place; everything else (G1, Panthera
+        pretenuring, large objects, a full eden) goes through
+        ``heap.try_allocate`` and the GC-escalation slow path.  A size
+        below ``MIN_OBJECT_SIZE`` or an OOM raises after every earlier
+        object was allocated.
+        """
+        store = self.store
+        new_object = store.new_object
+        handles = store.handles
+        size_col = store.size
+        address_col = store.address
+        space_col = store.space
+        heap = self.heap
+        charge = self.clock.charge
+        alloc_cost = self.cost.alloc_cost
+        if type(heap) is ManagedHeap and heap.pretenure_threshold is None:
+            eden = heap.eden
+            half = eden.capacity // 2
+            eden_end = eden.base + eden.capacity
+        else:
+            eden = None
+            half = -1  # every object takes the slow path
+        flags = object_flags(is_metadata, is_reference, serializable)
+        ref_oids = [o.oid for o in refs] if refs else ()
+        push = frame.push if frame is not None else None
+        objs: List[HeapObject] = []
+        for size, name in zip(sizes, names):
+            if size < MIN_OBJECT_SIZE:
+                raise ValueError(
+                    f"object size {size} below minimum {MIN_OBJECT_SIZE}"
+                )
+            oid = new_object(size, ref_oids, name, flags, scan_factor)
+            size = size_col[oid]
+            obj = _new_handle(HeapObject)
+            obj.oid = oid
+            obj._store = store
+            handles[oid] = obj
+            charge(alloc_cost, Bucket.OTHER)
+            if size <= half and eden.top + size <= eden_end:
+                top = eden.top
+                address_col[oid] = top
+                space_col[oid] = SPACE_EDEN
+                eden.top = top + size
+                eden.objects.append(obj)
+                eden._addr_cache = None
+                eden._oid_cache = None
+                heap.allocated_objects += 1
+                heap.allocated_bytes += size
+            else:
+                self._allocate_slow(obj, size, temporary)
+            if push is not None:
+                push(obj)
+            objs.append(obj)
+        return objs
+
+    def _allocate_slow(
+        self, obj: HeapObject, size: int, temporary: bool
+    ) -> None:
+        """Place ``obj`` through the heap, collecting as needed.
+
+        Escalates from scavenge to full GC to emergency backpressure;
+        raises :class:`OutOfMemoryError` when all of them fail.
+        """
+        heap = self.heap
+        if heap.try_allocate(obj):
+            return
         self.minor_gc()
-        if self.heap.try_allocate(obj):
-            return obj
+        if heap.try_allocate(obj):
+            return
         self.major_gc()
-        if self.heap.try_allocate(obj):
-            return obj
+        if heap.try_allocate(obj):
+            return
         if self._emergency_backpressure(obj):
-            return obj
+            return
         self.oom = True
-        message = f"cannot allocate {size} B after full GC"
+        if temporary:
+            message = "temporary allocation failed"
+            available = 0
+        else:
+            message = f"cannot allocate {size} B after full GC"
+            available = heap.capacity - heap.used()
         context = self._degradation_context()
         if context:
             message = f"{message} ({context})"
         raise OutOfMemoryError(
             message,
             requested=size,
-            available=self.heap.capacity - self.heap.used(),
+            available=available,
             context=context,
             heap_report=self.diagnostic_heap_report(),
         )
@@ -417,50 +513,21 @@ class JavaVM:
         )
         return "\n".join(lines)
 
-    def allocate_array(
-        self,
-        count: int,
-        element_size: int,
-        refs_per_element: int = 0,
-        name: str = "",
-    ) -> List[HeapObject]:
-        """Bulk-allocate ``count`` plain objects (no references)."""
-        return [
-            self.allocate(element_size, name=f"{name}[{i}]" if name else "")
-            for i in range(count)
-        ]
-
     def allocate_temp(self, nbytes: int) -> None:
         """Spray short-lived temporaries (S/D byte-stream buffers).
 
-        The objects are never rooted, so they die at the next scavenge —
-        their only effect is the young-generation pressure the paper
-        attributes to S/D (Section 2).
+        ``nbytes`` is cut into ``TEMP_CHUNK`` pieces (the last one at
+        least 16 B).  The objects are never rooted, so they die at the
+        next scavenge — their only effect is the young-generation
+        pressure the paper attributes to S/D (Section 2).
         """
-        remaining = nbytes
-        while remaining > 0:
-            chunk = min(TEMP_CHUNK, max(remaining, 16))
-            obj = HeapObject(chunk, name="sd-temp", store=self.store)
-            self.clock.charge(self.cost.alloc_cost, Bucket.OTHER)
-            if not self.heap.try_allocate(obj):
-                self.minor_gc()
-                if not self.heap.try_allocate(obj):
-                    self.major_gc()
-                    if not self.heap.try_allocate(
-                        obj
-                    ) and not self._emergency_backpressure(obj):
-                        self.oom = True
-                        message = "temporary allocation failed"
-                        context = self._degradation_context()
-                        if context:
-                            message = f"{message} ({context})"
-                        raise OutOfMemoryError(
-                            message,
-                            requested=chunk,
-                            context=context,
-                            heap_report=self.diagnostic_heap_report(),
-                        )
-            remaining -= chunk
+        if nbytes <= 0:
+            return
+        full, rest = divmod(nbytes, TEMP_CHUNK)
+        sizes = [TEMP_CHUNK] * full
+        if rest:
+            sizes.append(max(rest, MIN_OBJECT_SIZE))
+        self.allocate_many(sizes, repeat("sd-temp"), temporary=True)
 
     # ==================================================================
     # Mutator object access

@@ -47,10 +47,15 @@ def test_oom_when_live_exceeds_heap(vm):
     assert vm.oom
 
 
-def test_allocate_array(vm):
-    objs = vm.allocate_array(5, 256, name="arr")
+def test_allocate_many(vm):
+    with vm.roots.frame() as frame:
+        objs = vm.allocate_many(
+            [256] * 5, [f"arr[{i}]" for i in range(5)], frame=frame
+        )
+        assert frame.objects == objs
     assert len(objs) == 5
     assert all(o.size == 256 for o in objs)
+    assert [o.name for o in objs] == [f"arr[{i}]" for i in range(5)]
 
 
 def test_allocate_temp_dies_at_gc(vm):
