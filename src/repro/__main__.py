@@ -15,9 +15,14 @@ Usage::
     python -m repro fig11b
     python -m repro fig12 --panel spark-mo
     python -m repro fig13a
-    python -m repro gcscale --scale 0.4
-    python -m repro chaoskill --scale 0.5
+    python -m repro fig13b --scale 0.5
+    python -m repro gcscale              # 60 x --scale steal batches
+    python -m repro chaoskill --fault-seed 7
+    python -m repro brownout
     python -m repro phoenix --scale 0.5
+    python -m repro streamscale
+    python -m repro serverscale
+    python -m repro bench                # writes BENCH_0007.json
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .experiments import (
     fig12,
     fig13,
     gc_scaling,
+    harness,
     phoenix,
     serverscale,
     streamscale,
@@ -69,6 +75,16 @@ EXPERIMENTS = [
     "serverscale",
     "bench",
 ]
+
+#: name -> (driver, whether it takes ``--fault-seed``); each always runs
+#: with ``--check`` (every cell twice), ``--smoke`` when ``--scale < 1``
+MATRIX_EXPERIMENTS = {
+    "chaoskill": (chaoskill.EXPERIMENT, True),
+    "brownout": (brownout.EXPERIMENT, False),
+    "phoenix": (phoenix.EXPERIMENT, True),
+    "streamscale": (streamscale.EXPERIMENT, False),
+    "serverscale": (serverscale.EXPERIMENT, False),
+}
 
 
 def main(argv=None) -> int:
@@ -196,35 +212,14 @@ def main(argv=None) -> int:
         status = gc_scaling.main(
             ["--batches", str(max(1, int(60 * args.scale)))]
         )
-    elif args.experiment == "chaoskill":
-        chaos_args = ["--check"]
+    elif args.experiment in MATRIX_EXPERIMENTS:
+        experiment, takes_fault_seed = MATRIX_EXPERIMENTS[args.experiment]
+        matrix_args = ["--check"]
         if args.scale < 1.0:
-            chaos_args.append("--smoke")
-        if args.fault_seed is not None:
-            chaos_args.extend(["--fault-seed", str(args.fault_seed)])
-        status = chaoskill.main(chaos_args)
-    elif args.experiment == "brownout":
-        brownout_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            brownout_args.append("--smoke")
-        status = brownout.main(brownout_args)
-    elif args.experiment == "phoenix":
-        phoenix_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            phoenix_args.append("--smoke")
-        if args.fault_seed is not None:
-            phoenix_args.extend(["--fault-seed", str(args.fault_seed)])
-        status = phoenix.main(phoenix_args)
-    elif args.experiment == "streamscale":
-        stream_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            stream_args.append("--smoke")
-        status = streamscale.main(stream_args)
-    elif args.experiment == "serverscale":
-        server_args = ["--check", "--check-determinism"]
-        if args.scale < 1.0:
-            server_args.append("--smoke")
-        status = serverscale.main(server_args)
+            matrix_args.append("--smoke")
+        if takes_fault_seed and args.fault_seed is not None:
+            matrix_args.extend(["--fault-seed", str(args.fault_seed)])
+        status = harness.run(experiment, matrix_args)
     elif args.experiment == "bench":
         # The pinned perf-trajectory matrix; writes BENCH_0007.json.
         status = bench.main([])

@@ -136,10 +136,6 @@ class DurableImage:
     def is_durable(self, page: int) -> bool:
         return page in self.pages and page not in self.torn
 
-    def span_durable(self, pages: Iterable[int]) -> bool:
-        """True when every page of a span is committed and untorn."""
-        return all(self.is_durable(page) for page in pages)
-
     def journal_entries(self, index: int) -> Tuple[object, ...]:
         """Every readable journal entry of a region header, oldest first."""
         return self.journal.get(index, ())

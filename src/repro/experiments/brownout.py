@@ -21,18 +21,19 @@ clean run time) with the H2 governor on/off:
   After the window, half-open probes re-close the circuit and caching
   returns to H2.
 
-Every cell runs twice and its digest — fault schedule, circuit/health
-timelines, final counters — must be byte-identical: the determinism
-acceptance check, gated in CI via ``--smoke --check --check-determinism``.
+Under ``--check`` every cell runs twice and its digest — fault
+schedule, circuit/health timelines, final counters — must be
+byte-identical: the determinism acceptance check, gated in CI via
+``--smoke --check``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..clock import Bucket
 from ..config import GovernorConfig, TeraHeapConfig, VMConfig
@@ -44,6 +45,7 @@ from ..frameworks.spark.conf import CachePolicy, SparkConf
 from ..frameworks.spark.rdd import MaterializedPartition
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from . import harness
 
 #: workload shape (sizes are simulated bytes — the repo's scaled units)
 HEAP = gb(2.5)
@@ -59,7 +61,8 @@ TOUCHES = 2
 WORKLOAD_SEED = 23
 FAULT_SEED = 1861
 
-#: brownout window: service fraction and start point (of clean runtime)
+#: brownout window: service fraction, and the point of the clean runtime
+#: whose last preceding major GC opens the window (see :func:`calibrate`)
 BROWNOUT_FRACTION = 0.5
 WINDOW_START = 0.30
 #: window durations swept, as fractions of the clean runtime
@@ -192,9 +195,11 @@ class Workload:
 # One matrix cell
 # ======================================================================
 @dataclass
-class CellResult:
+class CellResult(harness.Cell):
     governor: bool
     duration_frac: float
+    t_clean: float = 0.0
+    window_start: float = 0.0
     steps_target: int = STEPS
     oom: bool = False
     completed_steps: int = 0
@@ -213,7 +218,8 @@ class CellResult:
     probes: int = 0
     circuit_states: List[str] = field(default_factory=list)
     heap_report: str = ""
-    digest: str = ""
+    #: fault-schedule, device-health and circuit timeline digests
+    timelines: str = ""
 
     @property
     def label(self) -> str:
@@ -240,7 +246,7 @@ class CellResult:
         )
 
 
-def _digest(vm: JavaVM, result: CellResult) -> str:
+def _timelines(vm: JavaVM) -> str:
     parts = ["[fault-schedule]"]
     if vm.resilience is not None:
         parts.append(vm.resilience.plan.schedule_digest())
@@ -250,37 +256,48 @@ def _digest(vm: JavaVM, result: CellResult) -> str:
     parts.append("[circuit]")
     if vm.governor is not None:
         parts.append(vm.governor.timeline_digest())
-    parts.append("[counters]")
-    parts.append(
-        f"oom={result.oom} steps={result.completed_steps} "
-        f"elapsed={result.elapsed:.6f} stall={result.stall_s:.6f} "
-        f"alloc_stalls={result.alloc_stalls} sheds={result.sheds} "
-        f"recomputes={result.recomputes} deser={result.deserializations} "
-        f"fallbacks={result.governor_fallbacks} "
-        f"denied={result.transfers_denied} trips={result.trips} "
-        f"probes={result.probes}"
-    )
     return "\n".join(parts)
 
 
-def clean_runtime(steps: int = STEPS) -> float:
-    """Simulated seconds of a brownout-free, governed run (calibration)."""
+def calibrate(steps: int = STEPS) -> Tuple[float, float]:
+    """A brownout-free, governed run: ``(runtime, window start)``.
+
+    The window opens at the clean run's last major-GC start at or before
+    ``WINDOW_START`` of its runtime, so even a short window covers that
+    GC's H2 region allocations: the denials this soak exists to test.
+    """
     vm = make_vm(governor=True, windows=())
     workload = Workload(vm, WORKLOAD_SEED)
     for step in range(steps):
         workload.run_step(step)
-    return vm.elapsed()
+    t_clean = vm.elapsed()
+    nominal = WINDOW_START * t_clean
+    start = max(
+        (
+            c.start_time
+            for c in vm.collector.stats.cycles
+            if c.kind == "major" and c.start_time <= nominal
+        ),
+        default=nominal,
+    )
+    return t_clean, start
 
 
 def run_cell(
-    governor: bool, duration_frac: float, t_clean: float, steps: int = STEPS
+    governor: bool,
+    duration_frac: float,
+    t_clean: float,
+    window_start: float,
+    steps: int = STEPS,
 ) -> CellResult:
     result = CellResult(
-        governor=governor, duration_frac=duration_frac, steps_target=steps
+        governor=governor,
+        duration_frac=duration_frac,
+        t_clean=t_clean,
+        window_start=window_start,
+        steps_target=steps,
     )
-    windows = (
-        (WINDOW_START * t_clean, duration_frac * t_clean, BROWNOUT_FRACTION),
-    )
+    windows = ((window_start, duration_frac * t_clean, BROWNOUT_FRACTION),)
     vm = make_vm(
         governor, windows, probe_backoff=max(0.02 * t_clean, 1e-4)
     )
@@ -320,40 +337,33 @@ def run_cell(
         result.circuit_states = [
             t.new.value for t in vm.governor.transitions
         ]
-    result.digest = _digest(vm, result)
+    result.timelines = _timelines(vm)
     return result
 
 
 # ======================================================================
 # The matrix
 # ======================================================================
-def run_matrix(
-    durations: Sequence[float] = DURATIONS,
-    steps: int = STEPS,
-    check_determinism: bool = True,
-) -> Tuple[List[CellResult], List[str], float]:
-    """Sweep durations x governor on/off; returns (cells, failures, t_clean)."""
-    t_clean = clean_runtime(steps)
-    results: List[CellResult] = []
-    failures: List[str] = []
-    cells: Dict[Tuple[bool, float], CellResult] = {}
+def matrix(args):
+    """Window durations x governor on/off, after one calibration run."""
+    steps = args.steps or (26 if args.smoke else STEPS)
+    t_clean, window_start = calibrate(steps)
+    durations = args.durations or ((0.25,) if args.smoke else DURATIONS)
     for duration in durations:
         for governor in (True, False):
-            cell = run_cell(governor, duration, t_clean, steps)
-            results.append(cell)
-            cells[(governor, duration)] = cell
-            if check_determinism:
-                rerun = run_cell(governor, duration, t_clean, steps)
-                if rerun.digest != cell.digest:
-                    failures.append(
-                        f"{cell.label}: digest differs across reruns"
-                    )
-    # Acceptance shape: the governed run survives every window with
-    # bounded stall time; the ungoverned control either dies or stalls
-    # at least twice as long.
-    for duration in durations:
-        on = cells[(True, duration)]
-        off = cells[(False, duration)]
+            yield partial(
+                run_cell, governor, duration, t_clean, window_start, steps
+            )
+
+
+def check(args, cells: List[CellResult]) -> List[str]:
+    """The governed run survives every window with bounded stall time;
+    the ungoverned control either dies or stalls at least twice as long.
+    """
+    failures: List[str] = []
+    # matrix() yields each duration's governed cell, then its control.
+    for on, off in zip(cells[::2], cells[1::2]):
+        steps = on.steps_target
         if on.oom:
             failures.append(f"{on.label}: governed run OOMed")
         if on.completed_steps < steps:
@@ -374,51 +384,10 @@ def run_matrix(
             )
         if on.trips < 1:
             failures.append(f"{on.label}: circuit never tripped")
-    return results, failures, t_clean
+    return failures
 
 
-def format_matrix(
-    results: List[CellResult], failures: List[str], t_clean: float
-) -> str:
-    lines = [
-        f"clean runtime: {t_clean:.3f}s simulated; window opens at "
-        f"{WINDOW_START:.0%}, service fraction {BROWNOUT_FRACTION:g}",
-        "",
-    ]
-    lines.extend(cell.row() for cell in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "governed runs absorbed every brownout (zero OOM, bounded "
-            "stalls); ungoverned controls died or stalled >=2x"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.brownout",
-        description="brownout-duration x governor on/off chaos soak",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="single window duration, fewer steps",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero if the acceptance shape fails",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice and require byte-identical digests",
-    )
+def _add_arguments(parser) -> None:
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument(
         "--durations",
@@ -427,22 +396,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="brownout durations as fractions of the clean runtime",
     )
-    args = parser.parse_args(argv)
 
-    durations: Sequence[float] = args.durations or (
-        (0.25,) if args.smoke else DURATIONS
-    )
-    steps = args.steps or (26 if args.smoke else STEPS)
-    results, failures, t_clean = run_matrix(
-        durations=durations,
-        steps=steps,
-        check_determinism=args.check_determinism,
-    )
-    print(format_matrix(results, failures, t_clean))
-    if args.check and failures:
-        return 1
-    return 0
+
+EXPERIMENT = harness.Experiment(
+    prog="repro.experiments.brownout",
+    description="brownout-duration x governor on/off chaos soak",
+    smoke_help="single window duration, fewer steps",
+    matrix=matrix,
+    check=check,
+    header=lambda cells: (
+        f"clean runtime: {cells[0].t_clean:.3f}s simulated; window opens "
+        f"at {cells[0].window_start:.3f}s (last major GC by "
+        f"{WINDOW_START:.0%}), service fraction {BROWNOUT_FRACTION:g}\n"
+    ),
+    success=(
+        "governed runs absorbed every brownout (zero OOM, bounded "
+        "stalls); ungoverned controls died or stalled >=2x"
+    ),
+    add_arguments=_add_arguments,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.run(EXPERIMENT))

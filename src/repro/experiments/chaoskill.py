@@ -14,9 +14,10 @@ each writeback policy, then:
    every label matches exactly unless recovery quarantined (part of) it,
    and nothing appears that the baseline does not have.
 
-Every cell additionally runs twice: the durable-image digest at crash
-time, the recovery-report digest, and the final population must be
-byte-identical across the two runs — the determinism acceptance check.
+Under ``--check`` every cell runs twice, and its digest (the durable
+image at crash time, the recovery report and the final population) must
+be byte-identical across the two runs — the determinism acceptance
+check.
 
 The workload is a phased group lifecycle: each phase creates a labelled
 object group, moves it to H2, drops the group created ``LIVE_WINDOW``
@@ -27,9 +28,9 @@ knows exactly where to resume.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +40,7 @@ from ..errors import InvariantViolation, SimulatedCrash, UnrecoverableCrash
 from ..faults.plan import FaultConfig
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from . import harness
 
 #: safepoints swept, each with the visit count that fires the kill —
 #: chosen so at least one durable epoch usually precedes the crash
@@ -173,9 +175,10 @@ def resume_phase(note: str) -> int:
 # One matrix cell: crash, recover, resume
 # ======================================================================
 @dataclass
-class CellResult:
+class CellResult(harness.Cell):
     point: str
     policy: str
+    crash_after: int = 0
     crashed: bool = False
     safepoint: str = ""
     committed_note: str = ""
@@ -187,6 +190,12 @@ class CellResult:
     report_digest: str = ""
     final: List[Tuple[str, int, int]] = field(default_factory=list)
     error: str = ""
+    #: the crash-free population ``final`` must reconcile with
+    baseline: List[Tuple[str, int, int]] = field(default_factory=list)
+
+    @property
+    def label(self) -> str:
+        return f"{self.point}/{self.policy}"
 
     def row(self) -> str:
         outcome = self.error.splitlines()[0] if self.error else "ok"
@@ -208,8 +217,14 @@ def run_cell(
     phases: int = PHASES,
     workload_seed: int = WORKLOAD_SEED,
     fault_seed: int = FAULT_SEED,
+    baseline: Sequence[Tuple[str, int, int]] = (),
 ) -> CellResult:
-    result = CellResult(point=point, policy=policy)
+    result = CellResult(
+        point=point,
+        policy=policy,
+        crash_after=crash_after,
+        baseline=list(baseline),
+    )
     fault = FaultConfig(
         seed=workload_seed,
         fault_seed=fault_seed,
@@ -266,9 +281,7 @@ def run_baseline(
     return final_report(vm)
 
 
-def reconcile(
-    result: CellResult, baseline: List[Tuple[str, int, int]]
-) -> List[str]:
+def reconcile(result: CellResult) -> List[str]:
     """No lost non-quarantined H2 objects, nothing invented.
 
     Every baseline label must match exactly unless recovery quarantined
@@ -276,7 +289,7 @@ def reconcile(
     not at all — those objects are *reported* lost, not silently lost).
     """
     failures: List[str] = []
-    base = {lbl: (c, b) for lbl, c, b in baseline}
+    base = {lbl: (c, b) for lbl, c, b in result.baseline}
     got = {lbl: (c, b) for lbl, c, b in result.final}
     lost = set(result.quarantined_labels)
     for lbl, expected in base.items():
@@ -284,14 +297,13 @@ def reconcile(
         if actual == expected or lbl in lost:
             continue
         failures.append(
-            f"{result.point}/{result.policy}: label {lbl} expected "
-            f"{expected}, got {actual}"
+            f"{result.label}: label {lbl} expected {expected}, got {actual}"
         )
     for lbl in got:
         if lbl not in base:
             failures.append(
-                f"{result.point}/{result.policy}: label {lbl} absent "
-                "from the crash-free baseline"
+                f"{result.label}: label {lbl} absent from the crash-free "
+                "baseline"
             )
     return failures
 
@@ -299,115 +311,63 @@ def reconcile(
 # ======================================================================
 # The matrix
 # ======================================================================
-def run_matrix(
-    phases: int = PHASES,
-    policies: Sequence[str] = POLICIES,
-    points: Sequence[Tuple[str, int]] = CRASH_POINTS,
-    workload_seed: int = WORKLOAD_SEED,
-    fault_seed: int = FAULT_SEED,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    """Sweep crash points x policies; returns (cells, failure messages)."""
-    results: List[CellResult] = []
-    failures: List[str] = []
-    for policy in policies:
-        baseline = run_baseline(policy, phases, workload_seed)
-        for point, crash_after in points:
-            cell = run_cell(
-                point, crash_after, policy, phases, workload_seed, fault_seed
+def matrix(args):
+    """Crash points x policies, one crash-free baseline per policy."""
+    phases = args.phases or (4 if args.smoke else PHASES)
+    for policy in ("commit",) if args.smoke else POLICIES:
+        baseline = run_baseline(policy, phases, args.workload_seed)
+        for point, crash_after in CRASH_POINTS:
+            yield partial(
+                run_cell,
+                point,
+                crash_after,
+                policy,
+                phases,
+                args.workload_seed,
+                args.fault_seed,
+                baseline,
             )
-            results.append(cell)
-            if not cell.crashed:
-                failures.append(
-                    f"{point}/{policy}: crash never fired "
-                    f"(crash_after={crash_after})"
-                )
-                continue
-            if cell.error:
-                failures.append(f"{point}/{policy}: {cell.error}")
-                continue
-            failures.extend(reconcile(cell, baseline))
-            if determinism:
-                rerun = run_cell(
-                    point,
-                    crash_after,
-                    policy,
-                    phases,
-                    workload_seed,
-                    fault_seed,
-                )
-                if rerun.image_digest != cell.image_digest:
-                    failures.append(
-                        f"{point}/{policy}: durable-image digest differs "
-                        "across reruns"
-                    )
-                if rerun.report_digest != cell.report_digest:
-                    failures.append(
-                        f"{point}/{policy}: recovery-report digest differs "
-                        "across reruns"
-                    )
-                if rerun.final != cell.final:
-                    failures.append(
-                        f"{point}/{policy}: final population differs "
-                        "across reruns"
-                    )
-    return results, failures
 
 
-def format_matrix(
-    results: List[CellResult], failures: List[str]
-) -> str:
-    lines = [
-        "crash_point              policy  fate   committed       "
-        "resume rec quar outcome"
-    ]
-    lines.extend(cell.row() for cell in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "all cells recovered auditor-clean and reconciled with the "
-            "crash-free baseline"
-        )
-    return "\n".join(lines)
+def check(args, cells: List[CellResult]) -> List[str]:
+    """Every cell crashed, recovered and reconciled with its baseline."""
+    failures: List[str] = []
+    for cell in cells:
+        if not cell.crashed:
+            failures.append(
+                f"{cell.label}: crash never fired "
+                f"(crash_after={cell.crash_after})"
+            )
+        elif cell.error:
+            failures.append(f"{cell.label}: {cell.error}")
+        else:
+            failures.extend(reconcile(cell))
+    return failures
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.chaoskill",
-        description="crash/recover/verify matrix over H2 safepoints",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller matrix (fewer phases, 'commit' policy only)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any reconciliation or determinism failure",
-    )
+def _add_arguments(parser) -> None:
     parser.add_argument("--phases", type=int, default=None)
     parser.add_argument("--workload-seed", type=int, default=WORKLOAD_SEED)
     parser.add_argument("--fault-seed", type=int, default=FAULT_SEED)
-    args = parser.parse_args(argv)
 
-    policies: Sequence[str] = ("commit",) if args.smoke else POLICIES
-    phases = args.phases or (4 if args.smoke else PHASES)
-    results, failures = run_matrix(
-        phases=phases,
-        policies=policies,
-        workload_seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-    )
-    print(format_matrix(results, failures))
-    if args.check and failures:
-        return 1
-    return 0
+
+EXPERIMENT = harness.Experiment(
+    prog="repro.experiments.chaoskill",
+    description="crash/recover/verify matrix over H2 safepoints",
+    smoke_help="smaller matrix (fewer phases, 'commit' policy only)",
+    matrix=matrix,
+    check=check,
+    header=lambda cells: (
+        "crash_point              policy  fate   committed       "
+        "resume rec quar outcome"
+    ),
+    success=(
+        "all cells recovered auditor-clean and reconciled with the "
+        "crash-free baseline"
+    ),
+    add_arguments=_add_arguments,
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.run(EXPERIMENT))

@@ -23,15 +23,15 @@ exactly one restart and the crash-free value, the adoption ledger
 balances (``adopted + quarantined + lost == persisted blocks``,
 ``recomputed == quarantined + lost``), post-commit cells adopt
 everything and beat the cold-recompute wall whenever they adopted
-anything, and the whole cell — walls included — is byte-identical when
-run twice (``--check-determinism``).
+anything, and under ``--check`` the whole cell — walls included — is
+byte-identical when run twice.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from ..config import TeraHeapConfig, VMConfig
@@ -45,6 +45,7 @@ from ..frameworks.spark import (
 )
 from ..runtime import JavaVM
 from ..units import KiB, gb
+from . import harness
 
 #: partitions per RDD (also tasks per pass)
 NUM_PARTITIONS = 4
@@ -123,6 +124,15 @@ def make_vm(policy: str, fault: Optional[FaultConfig] = None) -> JavaVM:
     )
 
 
+def make_ctx(policy: str, fault: Optional[FaultConfig] = None) -> SparkContext:
+    return SparkContext(
+        make_vm(policy, fault),
+        SparkConf(
+            cache_policy=CachePolicy.TERAHEAP, num_partitions=NUM_PARTITIONS
+        ),
+    )
+
+
 def build_job(ctx: SparkContext, fraction: float):
     """The three-stage cached job: src -> mid (expensive) -> top.
 
@@ -155,12 +165,17 @@ def persisted_blocks(fraction: float) -> int:
 
 
 @dataclass
-class CellResult:
+class CellResult(harness.Cell):
     """One (crash point, policy, fraction) cell of the matrix."""
 
     point: str
     policy: str
     fraction: float
+    #: the crash-free value and full-recompute wall of this
+    #: (policy, fraction), and whether the kill lands after a commit
+    baseline_value: int = 0
+    cold_wall: float = 0.0
+    adopts: bool = False
     crashed: bool = False
     restarts: int = 0
     value: int = 0
@@ -172,26 +187,14 @@ class CellResult:
     error: str = ""
     report_digests: List[str] = field(default_factory=list)
 
-    def digest(self) -> str:
-        """Canonical cell outcome, for the determinism acceptance check."""
-        lines = [
-            f"[cell] {self.point}/{self.policy}/{self.fraction:g}",
-            f"crashed\t{self.crashed}",
-            f"restarts\t{self.restarts}",
-            f"value\t{self.value}",
-            "blocks\t"
-            f"adopted={self.adopted} quarantined={self.quarantined} "
-            f"lost={self.lost} recomputed={self.recomputed}",
-            f"recovery_wall\t{self.recovery_wall:.9f}",
-            f"error\t{self.error.splitlines()[0] if self.error else '-'}",
-        ]
-        lines.extend(f"[restart]\n{d}" for d in self.report_digests)
-        return "\n".join(lines)
+    @property
+    def label(self) -> str:
+        return f"{self.point}/{self.policy}/{self.fraction:g}"
 
-    def row(self, cold_wall: float) -> str:
+    def row(self) -> str:
         outcome = self.error.splitlines()[0] if self.error else "ok"
         speedup = (
-            f"{cold_wall / self.recovery_wall:5.2f}x"
+            f"{self.cold_wall / self.recovery_wall:5.2f}x"
             if self.recovery_wall > 0
             else "    -"
         )
@@ -210,10 +213,18 @@ def run_cell(
     spec: CrashSpec,
     policy: str,
     fraction: float,
+    baseline: Tuple[int, float],
     workload_seed: int = WORKLOAD_SEED,
     fault_seed: int = FAULT_SEED,
 ) -> CellResult:
-    result = CellResult(point=spec.name, policy=policy, fraction=fraction)
+    result = CellResult(
+        point=spec.name,
+        policy=policy,
+        fraction=fraction,
+        baseline_value=baseline[0],
+        cold_wall=baseline[1],
+        adopts=spec.adopts,
+    )
     fault = FaultConfig(
         seed=workload_seed,
         fault_seed=fault_seed,
@@ -222,13 +233,7 @@ def run_cell(
         crash_stage=spec.crash_stage,
         crash_task=spec.crash_task,
     )
-    vm = make_vm(policy, fault)
-    ctx = SparkContext(
-        vm,
-        SparkConf(
-            cache_policy=CachePolicy.TERAHEAP, num_partitions=NUM_PARTITIONS
-        ),
-    )
+    ctx = make_ctx(policy, fault)
     job = build_job(ctx, fraction)
     try:
         job_result = run_job(ctx, job)
@@ -256,25 +261,14 @@ def run_baseline(
     policy: str, fraction: float, workload_seed: int = WORKLOAD_SEED
 ) -> Tuple[int, float]:
     """Crash-free cold run: (value, full-recompute wall)."""
-    vm = make_vm(policy)
-    ctx = SparkContext(
-        vm,
-        SparkConf(
-            cache_policy=CachePolicy.TERAHEAP, num_partitions=NUM_PARTITIONS
-        ),
-    )
+    ctx = make_ctx(policy)
     job = build_job(ctx, fraction)
-    return job(), vm.clock.now
+    return job(), ctx.vm.clock.now
 
 
-def check_cell(
-    cell: CellResult,
-    spec: CrashSpec,
-    baseline_value: int,
-    cold_wall: float,
-) -> List[str]:
+def check_cell(cell: CellResult) -> List[str]:
     """The acceptance assertions for one crash cell."""
-    where = f"{cell.point}/{cell.policy}/{cell.fraction:g}"
+    where = cell.label
     failures: List[str] = []
     if not cell.crashed:
         return [f"{where}: crash never fired"]
@@ -282,9 +276,10 @@ def check_cell(
         return [f"{where}: {cell.error}"]
     if cell.restarts != 1:
         failures.append(f"{where}: {cell.restarts} restarts, expected 1")
-    if cell.value != baseline_value:
+    if cell.value != cell.baseline_value:
         failures.append(
-            f"{where}: value {cell.value} != crash-free {baseline_value}"
+            f"{where}: value {cell.value} != crash-free "
+            f"{cell.baseline_value}"
         )
     expected_blocks = persisted_blocks(cell.fraction)
     accounted = cell.adopted + cell.quarantined + cell.lost
@@ -298,20 +293,20 @@ def check_cell(
             f"{where}: recomputed {cell.recomputed} != "
             f"quarantined+lost {cell.quarantined + cell.lost}"
         )
-    if spec.adopts and cell.adopted != expected_blocks:
+    if cell.adopts and cell.adopted != expected_blocks:
         failures.append(
             f"{where}: post-commit crash adopted {cell.adopted} of "
             f"{expected_blocks} committed blocks"
         )
-    if not spec.adopts and cell.adopted != 0:
+    if not cell.adopts and cell.adopted != 0:
         failures.append(
             f"{where}: pre-commit crash adopted {cell.adopted} blocks "
             "that were never durable"
         )
-    if cell.adopted > 0 and cell.recovery_wall >= cold_wall:
+    if cell.adopted > 0 and cell.recovery_wall >= cell.cold_wall:
         failures.append(
             f"{where}: recovery wall {cell.recovery_wall:.4f}s not below "
-            f"cold recompute {cold_wall:.4f}s despite "
+            f"cold recompute {cell.cold_wall:.4f}s despite "
             f"{cell.adopted} adopted blocks"
         )
     return failures
@@ -328,127 +323,40 @@ def cells_for(fraction: float, smoke: bool) -> Sequence[CrashSpec]:
     return CRASH_POINTS
 
 
-def run_matrix(
-    policies: Sequence[str] = POLICIES,
-    fractions: Sequence[float] = FRACTIONS,
-    smoke: bool = False,
-    workload_seed: int = WORKLOAD_SEED,
-    fault_seed: int = FAULT_SEED,
-    determinism: bool = True,
-) -> Tuple[List[Tuple[CellResult, float]], List[str]]:
-    """Sweep crash point x policy x persisted fraction.
-
-    Returns ``(cells, failures)`` where each cell is paired with its
-    cold-recompute wall for reporting.
-    """
-    results: List[Tuple[CellResult, float]] = []
-    failures: List[str] = []
-    for policy in policies:
-        for fraction in fractions:
-            baseline_value, cold_wall = run_baseline(
-                policy, fraction, workload_seed
-            )
-            for spec in cells_for(fraction, smoke):
-                cell = run_cell(
-                    spec, policy, fraction, workload_seed, fault_seed
-                )
-                results.append((cell, cold_wall))
-                failures.extend(
-                    check_cell(cell, spec, baseline_value, cold_wall)
-                )
-                if determinism and not cell.error:
-                    rerun = run_cell(
-                        spec, policy, fraction, workload_seed, fault_seed
-                    )
-                    if rerun.digest() != cell.digest():
-                        failures.append(
-                            f"{cell.point}/{policy}/{fraction:g}: cell "
-                            "digest differs across reruns"
-                        )
-    return results, failures
-
-
-def format_matrix(
-    results: List[Tuple[CellResult, float]], failures: List[str]
-) -> str:
-    lines = [
-        "crash_point              policy  frac fate   restarts "
-        "blocks(adopt/quar/lost/recomp)  recovery_wall  outcome"
-    ]
-    lines.extend(cell.row(cold) for cell, cold in results)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "all crash cells recovered: committed blocks re-adopted, lost "
-            "partitions recomputed from lineage, values crash-free-exact"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.phoenix",
-        description=(
-            "executor crash-restart matrix: H2 block adoption vs "
-            "lineage recompute"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="smaller matrix ('commit' policy, fractions 0/1, 3 points)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every crash cell twice; digests must be byte-identical",
-    )
-    parser.add_argument("--workload-seed", type=int, default=WORKLOAD_SEED)
-    parser.add_argument("--fault-seed", type=int, default=FAULT_SEED)
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the last cell's resilience-event CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write the last cell's chrome trace (with crash/restart/"
-        "adoption instants) to this path",
-    )
-    args = parser.parse_args(argv)
-
+def matrix(args):
+    """Crash point x policy x persisted fraction, one baseline per
+    (policy, fraction)."""
     policies: Sequence[str] = ("commit",) if args.smoke else POLICIES
     fractions: Sequence[float] = (0.0, 1.0) if args.smoke else FRACTIONS
-    results, failures = run_matrix(
-        policies=policies,
-        fractions=fractions,
-        smoke=args.smoke,
-        workload_seed=args.workload_seed,
-        fault_seed=args.fault_seed,
-        determinism=args.check_determinism,
-    )
-    print(format_matrix(results, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args)
-    if args.check and failures:
-        return 1
-    return 0
+    for policy in policies:
+        for fraction in fractions:
+            baseline = run_baseline(policy, fraction, args.workload_seed)
+            for spec in cells_for(fraction, args.smoke):
+                yield partial(
+                    run_cell,
+                    spec,
+                    policy,
+                    fraction,
+                    baseline,
+                    args.workload_seed,
+                    args.fault_seed,
+                )
 
 
-def _write_artifacts(args) -> None:
-    """Re-run one post-commit cell and export its CSV/chrome trace."""
+def check(args, cells: List[CellResult]) -> List[str]:
+    return [msg for cell in cells for msg in check_cell(cell)]
+
+
+def _add_arguments(parser) -> None:
+    parser.add_argument("--workload-seed", type=int, default=WORKLOAD_SEED)
+    parser.add_argument("--fault-seed", type=int, default=FAULT_SEED)
+
+
+def artifacts(args) -> Tuple[str, str]:
+    """Re-run one post-commit cell: its resilience-event CSV and chrome
+    trace."""
     from ..metrics.chrome_trace import chrome_trace_json, vm_engine
-    from ..metrics.trace import resilience_events_csv, write_csv
+    from ..metrics.trace import resilience_events_csv
 
     fault = FaultConfig(
         seed=args.workload_seed,
@@ -456,27 +364,38 @@ def _write_artifacts(args) -> None:
         crash_stage="top",
         crash_task=10,
     )
-    vm = make_vm("commit", fault)
-    ctx = SparkContext(
-        vm,
-        SparkConf(
-            cache_policy=CachePolicy.TERAHEAP, num_partitions=NUM_PARTITIONS
-        ),
-    )
+    ctx = make_ctx("commit", fault)
     run_job(ctx, build_job(ctx, 1.0))
     log = ctx.vm.resilience.log
-    if args.csv_out:
-        write_csv(args.csv_out, resilience_events_csv(log))
-        print(f"resilience events -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(
-                chrome_trace_json(
-                    vm_engine(ctx.vm), label="phoenix", resilience=log
-                )
-            )
-        print(f"chrome trace -> {args.trace_out}")
+    return resilience_events_csv(log), chrome_trace_json(
+        vm_engine(ctx.vm), label="phoenix", resilience=log
+    )
+
+
+EXPERIMENT = harness.Experiment(
+    prog="repro.experiments.phoenix",
+    description=(
+        "executor crash-restart matrix: H2 block adoption vs "
+        "lineage recompute"
+    ),
+    smoke_help="smaller matrix ('commit' policy, fractions 0/1, 3 points)",
+    matrix=matrix,
+    check=check,
+    header=lambda cells: (
+        "crash_point              policy  frac fate   restarts "
+        "blocks(adopt/quar/lost/recomp)  recovery_wall  outcome"
+    ),
+    success=(
+        "all crash cells recovered: committed blocks re-adopted, lost "
+        "partitions recomputed from lineage, values crash-free-exact"
+    ),
+    add_arguments=_add_arguments,
+    artifacts=artifacts,
+    csv_help="write the last cell's resilience-event CSV to this path",
+    trace_help="write the last cell's chrome trace (with crash/restart/"
+    "adoption instants) to this path",
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.run(EXPERIMENT))

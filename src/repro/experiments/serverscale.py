@@ -23,20 +23,21 @@ sublinear (the device saturates — busy fraction rises toward 1); the
 work-conserving arbiter never loses aggregate throughput vs the static
 control; and it *narrows* the max/min per-tenant progress-rate gap on
 every mixed cell — heavy tenants borrow bandwidth the moment light
-siblings finish instead of crawling at a frozen 1/N share.  Every cell
-is byte-identical when run twice (``--check-determinism``).
+siblings finish instead of crawling at a frozen 1/N share.  Under
+``--check`` every cell is byte-identical when run twice.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from ..server import ServerBox, ServerSpec
 from ..server.box import BoxReport
 from ..units import fmt_bytes, gb
+from . import harness
 
 #: tenant-count sweep (the x-axis of the saturation curve)
 TENANT_COUNTS: Tuple[int, ...] = (1, 2, 4, 6)
@@ -58,83 +59,30 @@ def make_spec(
 
 
 @dataclass
-class CellResult:
+class CellResult(harness.Cell):
     """One (tenant count, mean dataset) cell: uniform + mixed + control."""
 
     tenants: int
     mean_gb: float
-    uniform_throughput: float = 0.0
-    uniform_busy: float = 0.0
-    uniform_makespan: float = 0.0
-    mixed_throughput: float = 0.0
-    mixed_gap: float = 0.0
-    mixed_p99: float = 0.0
-    mixed_epochs: int = 0
-    control_throughput: float = 0.0
-    control_gap: float = 0.0
-    control_p99: float = 0.0
-    #: canonical per-tenant lines + epoch log digests, determinism-gated
-    detail: List[str] = field(default_factory=list)
+    uniform: BoxReport
+    mixed: BoxReport
+    control: BoxReport
 
-    def digest(self) -> str:
-        head = [
-            f"[cell] {self.tenants}x{self.mean_gb:g}GB",
-            "uniform\t%.9f\t%.9f\t%.9f"
-            % (
-                self.uniform_throughput,
-                self.uniform_busy,
-                self.uniform_makespan,
-            ),
-            "mixed\t%.9f\t%.9f\t%.9f\t%d"
-            % (
-                self.mixed_throughput,
-                self.mixed_gap,
-                self.mixed_p99,
-                self.mixed_epochs,
-            ),
-            "control\t%.9f\t%.9f\t%.9f"
-            % (
-                self.control_throughput,
-                self.control_gap,
-                self.control_p99,
-            ),
-        ]
-        return "\n".join(head + self.detail)
+    @property
+    def label(self) -> str:
+        return f"{self.tenants}x{self.mean_gb:g}GB"
 
     def row(self) -> str:
         return (
             f"{self.tenants:3d} {self.mean_gb:5.2f}GB "
-            f"agg={self.uniform_throughput:11,.0f} B/s "
-            f"busy={self.uniform_busy:5.3f} "
-            f"gap: arbiter={self.mixed_gap:6.3f} "
-            f"control={self.control_gap:6.3f} "
-            f"p99: {self.mixed_p99 * 1e3:7.2f}ms/"
-            f"{self.control_p99 * 1e3:7.2f}ms "
-            f"epochs={self.mixed_epochs:3d}"
+            f"agg={self.uniform.aggregate_throughput:11,.0f} B/s "
+            f"busy={self.uniform.device_busy_fraction:5.3f} "
+            f"gap: arbiter={self.mixed.fairness_gap:6.3f} "
+            f"control={self.control.fairness_gap:6.3f} "
+            f"p99: {_box_p99(self.mixed) * 1e3:7.2f}ms/"
+            f"{_box_p99(self.control) * 1e3:7.2f}ms "
+            f"epochs={self.mixed.epochs:3d}"
         )
-
-
-def _describe(tag: str, report: BoxReport) -> List[str]:
-    lines = []
-    for t in report.tenants:
-        lines.append(
-            "%s\t%s\tdata=%d\tdone=%.9f\tgc=%.9f\tstalls=%d\t"
-            "h2=%d\thit=%.6f\trd=%d\twr=%d"
-            % (
-                tag,
-                t.name,
-                t.dataset_bytes,
-                t.finish_time,
-                t.gc_seconds,
-                t.alloc_stalls,
-                t.h2_moved_bytes,
-                t.cache_hit_ratio,
-                t.device_read,
-                t.device_written,
-            )
-        )
-    lines.extend(f"{tag}\t{line}" for line in report.epoch_log)
-    return lines
 
 
 def _box_p99(report: BoxReport) -> float:
@@ -142,30 +90,16 @@ def _box_p99(report: BoxReport) -> float:
 
 
 def run_cell(tenants: int, mean_gb: float) -> CellResult:
-    cell = CellResult(tenants=tenants, mean_gb=mean_gb)
-    uniform = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=True, spread=0.0)
-    ).run()
-    cell.uniform_throughput = uniform.aggregate_throughput
-    cell.uniform_busy = uniform.device_busy_fraction
-    cell.uniform_makespan = uniform.makespan
-    mixed = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD)
-    ).run()
-    cell.mixed_throughput = mixed.aggregate_throughput
-    cell.mixed_gap = mixed.fairness_gap
-    cell.mixed_p99 = _box_p99(mixed)
-    cell.mixed_epochs = mixed.epochs
-    control = ServerBox(
-        make_spec(tenants, mean_gb, arbiter=False, spread=SPREAD)
-    ).run()
-    cell.control_throughput = control.aggregate_throughput
-    cell.control_gap = control.fairness_gap
-    cell.control_p99 = _box_p99(control)
-    cell.detail.extend(_describe("uniform", uniform))
-    cell.detail.extend(_describe("mixed", mixed))
-    cell.detail.extend(_describe("control", control))
-    return cell
+    def box(arbiter: bool, spread: float) -> BoxReport:
+        return ServerBox(make_spec(tenants, mean_gb, arbiter, spread)).run()
+
+    return CellResult(
+        tenants=tenants,
+        mean_gb=mean_gb,
+        uniform=box(arbiter=True, spread=0.0),
+        mixed=box(arbiter=True, spread=SPREAD),
+        control=box(arbiter=False, spread=SPREAD),
+    )
 
 
 def check_cells(cells: List[CellResult]) -> List[str]:
@@ -174,169 +108,118 @@ def check_cells(cells: List[CellResult]) -> List[str]:
     by_mean = {}
     for cell in cells:
         by_mean.setdefault(cell.mean_gb, []).append(cell)
-        where = f"{cell.tenants}x{cell.mean_gb:g}GB"
+        mixed, control = cell.mixed, cell.control
         if cell.tenants > 1:
-            if cell.mixed_gap >= cell.control_gap:
+            if mixed.fairness_gap >= control.fairness_gap:
                 failures.append(
-                    f"{where}: arbiter gap {cell.mixed_gap:.3f} does not "
-                    f"narrow the control's {cell.control_gap:.3f}"
+                    f"{cell.label}: arbiter gap {mixed.fairness_gap:.3f} "
+                    f"does not narrow the control's "
+                    f"{control.fairness_gap:.3f}"
                 )
-            if cell.mixed_throughput < 0.95 * cell.control_throughput:
+            if (
+                mixed.aggregate_throughput
+                < 0.95 * control.aggregate_throughput
+            ):
                 failures.append(
-                    f"{where}: arbiter throughput "
-                    f"{cell.mixed_throughput:,.0f} B/s loses >5% to the "
-                    f"static control {cell.control_throughput:,.0f} B/s"
+                    f"{cell.label}: arbiter throughput "
+                    f"{mixed.aggregate_throughput:,.0f} B/s loses >5% to "
+                    f"the static control "
+                    f"{control.aggregate_throughput:,.0f} B/s"
                 )
     for mean_gb, column in by_mean.items():
         column = sorted(column, key=lambda c: c.tenants)
         first, last = column[0], column[-1]
         if len(column) < 2 or first.tenants == last.tenants:
             continue
-        if column[1].uniform_throughput <= first.uniform_throughput:
+        put = [c.uniform.aggregate_throughput for c in column]
+        busy = [c.uniform.device_busy_fraction for c in column]
+        if put[1] <= put[0]:
             failures.append(
                 f"{mean_gb:g}GB: aggregate throughput does not grow from "
                 f"{first.tenants} to {column[1].tenants} tenants "
-                f"({first.uniform_throughput:,.0f} -> "
-                f"{column[1].uniform_throughput:,.0f} B/s)"
+                f"({put[0]:,.0f} -> {put[1]:,.0f} B/s)"
             )
-        scaling = last.uniform_throughput / first.uniform_throughput
+        scaling = put[-1] / put[0]
         if scaling >= last.tenants / first.tenants:
             failures.append(
                 f"{mean_gb:g}GB: throughput scaled {scaling:.2f}x over "
                 f"{last.tenants / first.tenants:.0f}x tenants — no "
                 "saturation"
             )
-        if last.uniform_busy <= first.uniform_busy:
+        if busy[-1] <= busy[0]:
             failures.append(
                 f"{mean_gb:g}GB: device busy fraction fell from "
-                f"{first.uniform_busy:.3f} ({first.tenants} tenants) to "
-                f"{last.uniform_busy:.3f} ({last.tenants} tenants)"
+                f"{busy[0]:.3f} ({first.tenants} tenants) to "
+                f"{busy[-1]:.3f} ({last.tenants} tenants)"
             )
-        peak = max(c.uniform_throughput for c in column)
-        if last.uniform_throughput < 0.85 * peak:
+        if put[-1] < 0.85 * max(put):
             failures.append(
                 f"{mean_gb:g}GB: throughput collapses past saturation "
-                f"({last.uniform_throughput:,.0f} B/s at {last.tenants} "
-                f"tenants vs peak {peak:,.0f} B/s)"
+                f"({put[-1]:,.0f} B/s at {last.tenants} "
+                f"tenants vs peak {max(put):,.0f} B/s)"
             )
     return failures
 
 
-def run_matrix(
-    counts: Sequence[int] = TENANT_COUNTS,
-    sizes: Sequence[float] = DATASET_SIZES_GB,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    cells: List[CellResult] = []
-    failures: List[str] = []
+def _sweep(args) -> Tuple[Sequence[int], Sequence[float]]:
+    if args.smoke:
+        return (TENANT_COUNTS[0], TENANT_COUNTS[-2]), (DATASET_SIZES_GB[0],)
+    return TENANT_COUNTS, DATASET_SIZES_GB
+
+
+def matrix(args):
+    counts, sizes = _sweep(args)
     for mean_gb in sizes:
         for tenants in counts:
-            cell = run_cell(tenants, mean_gb)
-            cells.append(cell)
-            if determinism:
-                rerun = run_cell(tenants, mean_gb)
-                if rerun.digest() != cell.digest():
-                    failures.append(
-                        f"{tenants}x{mean_gb:g}GB: cell digest differs "
-                        "across reruns"
-                    )
-    failures.extend(check_cells(cells))
-    return cells, failures
+            yield partial(run_cell, tenants, mean_gb)
 
 
-def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
+def _header(cells) -> str:
     spec = ServerSpec()
-    lines = [
+    return (
         f"serverscale: shared H2 {fmt_bytes(spec.h2_capacity)}, "
         f"DR2 budget {fmt_bytes(spec.dr2_budget)}, "
-        f"epoch {spec.epoch_seconds:g}s, spread ±{SPREAD:.0%}",
+        f"epoch {spec.epoch_seconds:g}s, spread ±{SPREAD:.0%}\n"
         "  N  dataset   uniform aggregate    device   "
-        "fairness gap (mixed)     worst p99 pause",
-    ]
-    lines.extend(cell.row() for cell in cells)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "server shape reproduced: aggregate throughput grows then "
-            "saturates as the shared device fills, and the work-conserving "
-            "arbiter narrows the per-tenant progress gap on every mixed "
-            "cell without losing aggregate throughput"
-        )
-    return "\n".join(lines)
+        "fairness gap (mixed)     worst p99 pause"
+    )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.serverscale",
-        description=(
-            "multi-tenant server box: tenant count x dataset size, "
-            "arbitrated vs static sharing"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="two tenant counts and one dataset size",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice; digests must be byte-identical",
-    )
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the largest mixed box's per-tenant CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write a chrome trace with per-tenant lanes to this path",
-    )
-    args = parser.parse_args(argv)
-
-    counts: Sequence[int] = (
-        (TENANT_COUNTS[0], TENANT_COUNTS[-2]) if args.smoke
-        else TENANT_COUNTS
-    )
-    sizes: Sequence[float] = (
-        (DATASET_SIZES_GB[0],) if args.smoke else DATASET_SIZES_GB
-    )
-    cells, failures = run_matrix(
-        counts=counts, sizes=sizes, determinism=args.check_determinism
-    )
-    print(format_matrix(cells, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args, counts[-1], sizes[-1])
-    if args.check and failures:
-        return 1
-    return 0
-
-
-def _write_artifacts(args, tenants: int, mean_gb: float) -> None:
-    """Re-run the largest mixed box and export its artifacts."""
+def artifacts(args) -> Tuple[str, str]:
+    """Re-run the largest mixed box: its per-tenant CSV and chrome
+    trace."""
     from ..metrics.chrome_trace import server_chrome_trace_json
-    from ..metrics.trace import server_tenants_csv, write_csv
+    from ..metrics.trace import server_tenants_csv
 
-    box = ServerBox(make_spec(tenants, mean_gb, arbiter=True, spread=SPREAD))
+    counts, sizes = _sweep(args)
+    box = ServerBox(
+        make_spec(counts[-1], sizes[-1], arbiter=True, spread=SPREAD)
+    )
     report = box.run()
-    if args.csv_out:
-        write_csv(args.csv_out, server_tenants_csv(report))
-        print(f"tenant rows -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(server_chrome_trace_json(box))
-        print(f"chrome trace -> {args.trace_out}")
+    return server_tenants_csv(report), server_chrome_trace_json(box)
+
+
+EXPERIMENT = harness.Experiment(
+    prog="repro.experiments.serverscale",
+    description=(
+        "multi-tenant server box: tenant count x dataset size, "
+        "arbitrated vs static sharing"
+    ),
+    smoke_help="two tenant counts and one dataset size",
+    matrix=matrix,
+    check=lambda args, cells: check_cells(cells),
+    header=_header,
+    success=(
+        "server shape reproduced: aggregate throughput grows then "
+        "saturates as the shared device fills, and the work-conserving "
+        "arbiter narrows the per-tenant progress gap on every mixed "
+        "cell without losing aggregate throughput"
+    ),
+    artifacts=artifacts,
+    csv_help="write the largest mixed box's per-tenant CSV to this path",
+    trace_help="write a chrome trace with per-tenant lanes to this path",
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.run(EXPERIMENT))

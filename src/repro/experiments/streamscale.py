@@ -19,16 +19,16 @@ Acceptance, per cell: both executions produce the identical action
 value; the streaming run's peak in-flight bytes never exceed its budget
 (and no admission was forced past it); the largest input of each budget
 column streams *faster* than whole-RDD while the smallest streams
-*slower* (the measurable overhead); and every cell — walls included — is
-byte-identical when run twice (``--check-determinism``).
+*slower* (the measurable overhead); and under ``--check`` every cell —
+walls included — is byte-identical when run twice.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from typing import List, Sequence, Tuple
 
 from ..clock import Bucket
 from ..config import TeraHeapConfig, VMConfig
@@ -36,10 +36,12 @@ from ..frameworks.spark import (
     CachePolicy,
     SparkConf,
     SparkContext,
+    StreamingExecutor,
     StreamResult,
 )
 from ..runtime import JavaVM
 from ..units import KiB, fmt_bytes, gb
+from . import harness
 
 #: partitions per RDD; with 8 mutator threads one batch covers them all,
 #: which is exactly the whole-RDD pinning the streaming executor removes
@@ -95,7 +97,7 @@ def build_pipeline(ctx: SparkContext, input_gb: float):
 
 
 @dataclass
-class CellResult:
+class CellResult(harness.Cell):
     """One (input size, in-flight budget) cell, both executions."""
 
     input_gb: float
@@ -104,39 +106,16 @@ class CellResult:
     baseline_value: int = 0
     baseline_wall: float = 0.0
     baseline_gc: float = 0.0
-    streaming_value: int = 0
     streaming_wall: float = 0.0
     streaming_gc: float = 0.0
-    blocks: int = 0
-    peak_inflight: int = 0
-    stalls: int = 0
-    stall_seconds: float = 0.0
-    spills: int = 0
-    spill_bytes: int = 0
-    unspills: int = 0
-    forced: int = 0
-    hidden_seconds: float = 0.0
+    streaming: StreamResult = field(default_factory=StreamResult)
 
-    def digest(self) -> str:
-        """Canonical cell outcome, for the determinism acceptance gate."""
-        return "\n".join(
-            [
-                f"[cell] {self.input_gb:g}GB/{self.inflight_blocks}blk",
-                f"budget\t{self.budget_bytes}",
-                f"baseline\t{self.baseline_value}\t"
-                f"{self.baseline_wall:.9f}\t{self.baseline_gc:.9f}",
-                f"streaming\t{self.streaming_value}\t"
-                f"{self.streaming_wall:.9f}\t{self.streaming_gc:.9f}",
-                f"blocks\t{self.blocks}\tpeak={self.peak_inflight}",
-                f"backpressure\tstalls={self.stalls} "
-                f"stall_s={self.stall_seconds:.9f} forced={self.forced}",
-                f"spills\t{self.spills}\tbytes={self.spill_bytes}\t"
-                f"unspills={self.unspills}",
-                f"hidden\t{self.hidden_seconds:.9f}",
-            ]
-        )
+    @property
+    def label(self) -> str:
+        return f"{self.input_gb:g}GB/{self.inflight_blocks}blk"
 
     def row(self) -> str:
+        stream = self.streaming
         ratio = (
             self.baseline_wall / self.streaming_wall
             if self.streaming_wall > 0
@@ -149,9 +128,10 @@ class CellResult:
             f"stream={self.streaming_wall:8.4f}s "
             f"(gc {self.streaming_gc:7.4f}s) "
             f"x{ratio:5.2f} "
-            f"blk={self.blocks:4d} peak={fmt_bytes(self.peak_inflight):>9s} "
-            f"stall={self.stalls:3d} spill={self.spills:3d} "
-            f"unspill={self.unspills:3d}"
+            f"blk={stream.blocks:4d} "
+            f"peak={fmt_bytes(stream.peak_inflight_bytes):>9s} "
+            f"stall={stream.backpressure_stalls:3d} "
+            f"spill={stream.spills:3d} unspill={stream.unspills:3d}"
         )
 
 
@@ -177,26 +157,10 @@ def run_cell(input_gb: float, inflight_blocks: int) -> CellResult:
     ctx = make_ctx(inflight_blocks)
     top = build_pipeline(ctx, input_gb)
     cell.budget_bytes = ctx.conf.inflight_budget_bytes
-    result = run_streaming(ctx, top)
-    cell.streaming_value = result.total_bytes
+    cell.streaming = StreamingExecutor(ctx).run(top)
     cell.streaming_wall = ctx.vm.clock.now
     cell.streaming_gc = gc_seconds(ctx.vm)
-    cell.blocks = result.blocks
-    cell.peak_inflight = result.peak_inflight_bytes
-    cell.stalls = result.backpressure_stalls
-    cell.stall_seconds = result.stall_seconds
-    cell.spills = result.spills
-    cell.spill_bytes = result.spill_bytes
-    cell.unspills = result.unspills
-    cell.forced = result.forced_admissions
-    cell.hidden_seconds = result.hidden_seconds
     return cell
-
-
-def run_streaming(ctx: SparkContext, top) -> StreamResult:
-    from ..frameworks.spark.streaming import StreamingExecutor
-
-    return StreamingExecutor(ctx).run(top)
 
 
 def check_cells(cells: List[CellResult]) -> List[str]:
@@ -205,20 +169,21 @@ def check_cells(cells: List[CellResult]) -> List[str]:
     by_budget = {}
     for cell in cells:
         by_budget.setdefault(cell.inflight_blocks, []).append(cell)
-        where = f"{cell.input_gb:g}GB/{cell.inflight_blocks}blk"
-        if cell.streaming_value != cell.baseline_value:
+        where, stream = cell.label, cell.streaming
+        if stream.total_bytes != cell.baseline_value:
             failures.append(
-                f"{where}: streaming value {cell.streaming_value} != "
+                f"{where}: streaming value {stream.total_bytes} != "
                 f"whole-RDD {cell.baseline_value}"
             )
-        if cell.forced:
+        if stream.forced_admissions:
             failures.append(
-                f"{where}: {cell.forced} forced admissions past the budget"
+                f"{where}: {stream.forced_admissions} forced admissions "
+                "past the budget"
             )
-        if cell.peak_inflight > cell.budget_bytes:
+        if stream.peak_inflight_bytes > cell.budget_bytes:
             failures.append(
-                f"{where}: peak in-flight {cell.peak_inflight} B exceeds "
-                f"budget {cell.budget_bytes} B"
+                f"{where}: peak in-flight {stream.peak_inflight_bytes} B "
+                f"exceeds budget {cell.budget_bytes} B"
             )
     for blocks, column in by_budget.items():
         column = sorted(column, key=lambda c: c.input_gb)
@@ -239,124 +204,60 @@ def check_cells(cells: List[CellResult]) -> List[str]:
     return failures
 
 
-def run_matrix(
-    sizes: Sequence[float] = INPUT_SIZES_GB,
-    budgets: Sequence[int] = INFLIGHT_BLOCKS,
-    determinism: bool = True,
-) -> Tuple[List[CellResult], List[str]]:
-    cells: List[CellResult] = []
-    failures: List[str] = []
+def _sweep(args) -> Tuple[Sequence[float], Sequence[int]]:
+    if args.smoke:
+        return (INPUT_SIZES_GB[0], INPUT_SIZES_GB[-1]), (INFLIGHT_BLOCKS[-1],)
+    return INPUT_SIZES_GB, INFLIGHT_BLOCKS
+
+
+def matrix(args):
+    sizes, budgets = _sweep(args)
     for blocks in budgets:
         for input_gb in sizes:
-            cell = run_cell(input_gb, blocks)
-            cells.append(cell)
-            if determinism:
-                rerun = run_cell(input_gb, blocks)
-                if rerun.digest() != cell.digest():
-                    failures.append(
-                        f"{input_gb:g}GB/{blocks}blk: cell digest differs "
-                        "across reruns"
-                    )
-    failures.extend(check_cells(cells))
-    return cells, failures
+            yield partial(run_cell, input_gb, blocks)
 
 
-def format_matrix(cells: List[CellResult], failures: List[str]) -> str:
-    lines = [
+def artifacts(args) -> Tuple[str, str]:
+    """Re-run the largest cell's streaming pass: its per-block CSV and
+    chrome trace."""
+    from ..metrics.chrome_trace import chrome_trace_json, vm_engine
+    from ..metrics.trace import streaming_blocks_csv
+
+    sizes, budgets = _sweep(args)
+    ctx = make_ctx(budgets[-1])
+    top = build_pipeline(ctx, sizes[-1])
+    result = StreamingExecutor(ctx).run(top)
+    return streaming_blocks_csv(result), chrome_trace_json(
+        vm_engine(ctx.vm), label="streamscale", streaming=result
+    )
+
+
+EXPERIMENT = harness.Experiment(
+    prog="repro.experiments.streamscale",
+    description=(
+        "block-streaming vs whole-RDD crossover: input size x "
+        "in-flight budget"
+    ),
+    smoke_help="two sizes (smallest/largest) and one budget",
+    matrix=matrix,
+    check=lambda args, cells: check_cells(cells),
+    header=lambda cells: (
         f"streamscale: heap {fmt_bytes(HEAP_BYTES)}, "
         f"{NUM_PARTITIONS} partitions, "
-        f"block target {fmt_bytes(TARGET_BLOCK_BYTES)}",
+        f"block target {fmt_bytes(TARGET_BLOCK_BYTES)}\n"
         "input  blk    budget  whole-RDD wall (gc)        "
-        "streaming wall (gc)      speedup  streaming counters",
-    ]
-    lines.extend(cell.row() for cell in cells)
-    if failures:
-        lines.append("")
-        lines.append(f"{len(failures)} failure(s):")
-        lines.extend(f"  {msg}" for msg in failures)
-    else:
-        lines.append("")
-        lines.append(
-            "crossover reproduced: streaming holds its in-flight budget, "
-            "pays a measurable dispatch tax on the smallest input and "
-            "beats whole-RDD materialisation on the largest"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.streamscale",
-        description=(
-            "block-streaming vs whole-RDD crossover: input size x "
-            "in-flight budget"
-        ),
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="two sizes (smallest/largest) and one budget",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on any acceptance failure",
-    )
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run every cell twice; digests must be byte-identical",
-    )
-    parser.add_argument(
-        "--csv-out",
-        default=None,
-        help="write the last streaming run's per-block CSV to this path",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="write a chrome trace with the in-flight counter track",
-    )
-    args = parser.parse_args(argv)
-
-    sizes: Sequence[float] = (
-        (INPUT_SIZES_GB[0], INPUT_SIZES_GB[-1]) if args.smoke
-        else INPUT_SIZES_GB
-    )
-    budgets: Sequence[int] = (
-        (INFLIGHT_BLOCKS[-1],) if args.smoke else INFLIGHT_BLOCKS
-    )
-    cells, failures = run_matrix(
-        sizes=sizes, budgets=budgets, determinism=args.check_determinism
-    )
-    print(format_matrix(cells, failures))
-    if args.csv_out or args.trace_out:
-        _write_artifacts(args, sizes[-1], budgets[-1])
-    if args.check and failures:
-        return 1
-    return 0
-
-
-def _write_artifacts(args, input_gb: float, inflight_blocks: int) -> None:
-    """Re-run the largest cell's streaming pass and export its artifacts."""
-    from ..metrics.chrome_trace import chrome_trace_json, vm_engine
-    from ..metrics.trace import streaming_blocks_csv, write_csv
-
-    ctx = make_ctx(inflight_blocks)
-    top = build_pipeline(ctx, input_gb)
-    result = run_streaming(ctx, top)
-    if args.csv_out:
-        write_csv(args.csv_out, streaming_blocks_csv(result))
-        print(f"streaming blocks -> {args.csv_out}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as f:
-            f.write(
-                chrome_trace_json(
-                    vm_engine(ctx.vm), label="streamscale", streaming=result
-                )
-            )
-        print(f"chrome trace -> {args.trace_out}")
+        "streaming wall (gc)      speedup  streaming counters"
+    ),
+    success=(
+        "crossover reproduced: streaming holds its in-flight budget, "
+        "pays a measurable dispatch tax on the smallest input and "
+        "beats whole-RDD materialisation on the largest"
+    ),
+    artifacts=artifacts,
+    csv_help="write the last streaming run's per-block CSV to this path",
+    trace_help="write a chrome trace with the in-flight counter track",
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.run(EXPERIMENT))

@@ -74,9 +74,6 @@ class ManagedHeap:
         """Fraction of H1 occupied, the input to the threshold policy."""
         return self.used() / self.capacity
 
-    def old_occupancy(self) -> float:
-        return self.old.occupancy
-
     # ------------------------------------------------------------------
     def try_allocate(self, obj: HeapObject) -> bool:
         """Place ``obj`` in eden (or old gen if eden could never hold it).
@@ -120,12 +117,3 @@ class ManagedHeap:
         for space in self.spaces():
             result.extend(space.objects)
         return result
-
-    def find_space(self, obj: HeapObject) -> Optional[Space]:
-        mapping = {
-            SpaceId.EDEN: self.eden,
-            SpaceId.FROM: self.survivor_from,
-            SpaceId.TO: self.survivor_to,
-            SpaceId.OLD: self.old,
-        }
-        return mapping.get(obj.space)

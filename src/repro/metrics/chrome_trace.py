@@ -353,11 +353,6 @@ def vm_engine(vm: Any) -> Optional[Any]:
     return getattr(getattr(vm, "collector", None), "engine", None)
 
 
-def vm_resilience_log(vm: Any) -> Optional[Any]:
-    """The resilience log of a VM, if fault injection is armed."""
-    return getattr(getattr(vm, "resilience", None), "log", None)
-
-
 def write_chrome_trace(
     path: str, engine: Any, label: str = "run", resilience: Any = None,
     streaming: Any = None,

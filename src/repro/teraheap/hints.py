@@ -62,9 +62,6 @@ class HintInterface:
     def is_move_pending(self, label: str) -> bool:
         return label in self._pending_moves
 
-    def pending_labels(self) -> Set[str]:
-        return set(self._pending_moves)
-
     def consume_moved(self, labels: Set[str]) -> None:
         """Forget labels whose groups have been transferred."""
         self._pending_moves -= labels

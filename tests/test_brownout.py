@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulatedCrash
-from repro.experiments import brownout, chaoskill
+from repro.experiments import brownout, chaoskill, harness
 from repro.devices.durability import image_of
 from repro.faults.plan import FaultConfig
 
@@ -13,11 +13,11 @@ class TestBrownoutExperiment:
         # The CI gate's exact shape: governed cells survive with bounded
         # stalls, ungoverned controls die (or stall >= 2x), cell digests
         # byte-identical across reruns.
-        results, failures, t_clean = brownout.run_matrix(
-            durations=(0.25,), steps=26, check_determinism=True
-        )
+        args = harness.parse_args(brownout.EXPERIMENT, ["--smoke", "--check"])
+        results, failures = harness.evaluate(brownout.EXPERIMENT, args)
         assert failures == []
-        assert t_clean > 0
+        assert [r.duration_frac for r in results] == [0.25, 0.25]
+        assert results[0].t_clean > 0
         by_gov = {r.governor: r for r in results}
         on, off = by_gov[True], by_gov[False]
         assert not on.oom and on.completed_steps == 26
@@ -29,20 +29,37 @@ class TestBrownoutExperiment:
         assert off.heap_report  # the OOM carried a diagnostic report
         assert "simulated heap report" in off.heap_report
 
+    def test_shortest_window_exercises_denials(self):
+        # The window opens at a major-GC start, so even the shortest
+        # duration covers H2 region allocations: both cells see denials
+        # and the control dies where the governed run survives.
+        args = harness.parse_args(
+            brownout.EXPERIMENT, ["--durations", "0.15"]
+        )
+        results, failures = harness.evaluate(brownout.EXPERIMENT, args)
+        assert failures == []
+        on, off = results
+        assert on.transfers_denied > 0 and off.transfers_denied > 0
+        assert not on.oom and off.oom
+        t_clean, start = brownout.calibrate()
+        assert on.window_start == start <= brownout.WINDOW_START * t_clean
+
     def test_governed_cell_digest_is_stable(self):
-        t = brownout.clean_runtime(steps=12)
-        first = brownout.run_cell(True, 0.3, t, steps=12)
-        second = brownout.run_cell(True, 0.3, t, steps=12)
-        assert first.digest == second.digest
-        assert "[fault-schedule]" in first.digest
-        assert "[circuit]" in first.digest
+        t, start = brownout.calibrate(steps=12)
+        first = brownout.run_cell(True, 0.3, t, start, steps=12)
+        second = brownout.run_cell(True, 0.3, t, start, steps=12)
+        assert first.digest() == second.digest()
+        assert "[fault-schedule]" in first.digest()
+        assert "[circuit]" in first.digest()
 
     def test_main_smoke_exits_zero(self):
-        assert brownout.main(["--smoke", "--check", "--steps", "26"]) == 0
+        assert harness.run(
+            brownout.EXPERIMENT, ["--smoke", "--check", "--steps", "26"]
+        ) == 0
 
     def test_health_and_circuit_events_reach_resilience_log(self):
-        t = brownout.clean_runtime(steps=12)
-        win = ((brownout.WINDOW_START * t, 0.5 * t, 0.5),)
+        t, start = brownout.calibrate(steps=12)
+        win = ((start, 0.5 * t, 0.5),)
         vm = brownout.make_vm(True, win, probe_backoff=0.02 * t)
         workload = brownout.Workload(vm, brownout.WORKLOAD_SEED)
         for step in range(12):

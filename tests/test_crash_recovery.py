@@ -18,6 +18,7 @@ from repro.experiments.chaoskill import (
     final_report,
     make_vm,
     resume_phase,
+    run_cell,
 )
 
 SEED = 7
@@ -257,20 +258,19 @@ def test_mover_copy_batches_match_buffer_flush_shape():
 # ======================================================================
 def test_crash_cells_are_deterministic_across_reruns():
     def run_once():
-        fault = FaultConfig(
-            seed=SEED, fault_seed=99, crash_point="h2_flush", crash_after=2
+        return run_cell(
+            "h2_flush", 2, "commit", phases=4, workload_seed=SEED,
+            fault_seed=99,
         )
-        vm = make_vm("commit", fault)
-        workload = Workload(vm, SEED)
-        with pytest.raises(SimulatedCrash):
-            for i in range(4):
-                workload.run_phase(i)
-        image = lift_image(vm)
-        fresh = make_vm("commit")
-        report = fresh.recover_h2(image)
-        return image.digest(), report.digest()
 
-    assert run_once() == run_once()
+    first, second = run_once(), run_once()
+    assert first.crashed and not first.error
+    assert first.image_digest and first.report_digest and first.final
+    # The cell digest covers the durable image at crash time, the
+    # recovery report and the final population.
+    assert first.image_digest == second.image_digest
+    assert first.report_digest == second.report_digest
+    assert first.digest() == second.digest()
 
 
 def test_crash_mid_parallel_compact_is_deterministic():

@@ -5,7 +5,7 @@ import pytest
 from repro import JavaVM, TeraHeapConfig, VMConfig, gb
 from repro.clock import Bucket
 from repro.config import GovernorConfig
-from repro.experiments import streamscale
+from repro.experiments import harness, streamscale
 from repro.frameworks.spark import (
     BlockManager,
     CachePolicy,
@@ -165,7 +165,7 @@ class TestStreamingExecutor:
         assert all(e["ph"] == "C" for e in events)
 
     def test_streamscale_smoke(self):
-        assert streamscale.main(["--smoke", "--check"]) == 0
+        assert harness.run(streamscale.EXPERIMENT, ["--smoke", "--check"]) == 0
 
 
 # ---------------------------------------------------------------------
