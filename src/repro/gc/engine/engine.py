@@ -269,10 +269,24 @@ class GCTaskEngine:
             region = self.clock.concurrent(
                 n, nodes=self.numa_nodes, budget=concurrent_budget
             )
+        if dispatch < 0:
+            raise ValueError(f"cannot advance a lane by {dispatch}")
         with region as lanes:
+            busy = lanes.busy
+            steal = lanes.steal
+            overhead = lanes.overhead
+            others = range(1, n)
             remaining = len(task_list)
             while remaining:
-                w = min(range(n), key=lambda i: (lanes.lane_time(i), i))
+                # The lane with the least local time claims next; the
+                # lowest index wins a tie.
+                w = 0
+                least = busy[0] + steal[0] + overhead[0]
+                for i in others:
+                    t = busy[i] + steal[i] + overhead[i]
+                    if t < least:
+                        w = i
+                        least = t
                 if not deques[w]:
                     victims = [i for i in range(n) if deques[i]]
                     # NUMA affinity: steal from the thief's own node when
@@ -297,9 +311,12 @@ class GCTaskEngine:
                     stats[w].steals += 1
                     stats[w].tasks_stolen += grab
                 task = deques[w].popleft()
-                start = lanes.lane_time(w)
-                lanes.advance(w, dispatch, kind="overhead")
-                lanes.advance(w, task.cost, kind="busy")
+                if task.cost < 0:
+                    raise ValueError(f"cannot advance a lane by {task.cost}")
+                if self.trace:
+                    start = lanes.lane_time(w)
+                overhead[w] += dispatch
+                busy[w] += task.cost
                 stats[w].tasks += 1
                 remaining -= 1
                 if self.trace:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
+import numpy as np
+
 
 @dataclass
 class GCTask:
@@ -70,6 +72,12 @@ class BatchBuilder:
     buffers, PLAB-sized copy batches).  ``add`` accumulates cost and
     emits one task every ``batch_items`` objects; call ``flush`` at the
     end of the phase for the partial tail batch.
+
+    ``add_many`` folds a whole vector of per-object costs at once.  It
+    performs the same float additions in the same order as one ``add``
+    per cost, so task names, batch boundaries and every task's cost are
+    bit-identical: callers may compute a phase's costs in visit order and
+    fold them at the end.
     """
 
     def __init__(self, bag: TaskBag, name: str, kind: str, batch_items: int):
@@ -88,6 +96,40 @@ class BatchBuilder:
         self._count += 1
         if self._count >= self.batch_items:
             self.flush()
+
+    def add_many(self, costs) -> None:
+        """``add`` each of ``costs`` (a float sequence or array), in order.
+
+        Each batch's cost is the running sum of its objects' costs in
+        visit order, computed with ``np.cumsum``: an accumulation is
+        strictly sequential, so every task gets the float an ``add`` loop
+        would give it (costs are non-negative; ``-0.0`` never occurs).
+        No Python float per object is created.
+        """
+        values = np.asarray(costs, dtype=np.float64)
+        if not values.size:
+            return
+        limit = self.batch_items
+        room = limit - self._count
+        head = np.concatenate(((self._cost,), values[:room]))
+        self._cost = float(np.cumsum(head)[-1])
+        if values.size < room:
+            self._count += values.size
+            return
+        self._count = limit
+        self.flush()
+        rest = values[room:]
+        full = rest.size // limit
+        if full:
+            rows = rest[: full * limit].reshape(full, limit)
+            for total in np.cumsum(rows, axis=1)[:, -1].tolist():
+                self._cost = total
+                self._count = limit
+                self.flush()
+        tail = rest[full * limit :]
+        if tail.size:
+            self._cost = float(np.cumsum(tail)[-1])
+            self._count = tail.size
 
     def flush(self) -> None:
         if self._count == 0:

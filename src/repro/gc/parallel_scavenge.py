@@ -32,7 +32,7 @@ from ..clock import Bucket, Clock
 from ..config import VMConfig
 from ..errors import OutOfMemoryError
 from ..heap.heap import ManagedHeap
-from ..heap.object_model import HeapObject, SpaceId
+from ..heap.object_model import HeapObject
 from ..heap.roots import RootSet
 from ..heap.store import (
     NO_SPACE,
@@ -54,7 +54,7 @@ from .engine import (
 # Sliding-compaction sort rank by space code (EDEN, FROM, TO, OLD, H2,
 # FREED): old-gen residents keep their address order ahead of any young
 # survivors caught by a full GC.
-_SPACE_RANK = (1, 2, 3, 0, 4, 4)
+_SPACE_RANK = np.array((1, 2, 3, 0, 4, 4), dtype=np.int64)
 
 
 class PromotionFailure(Exception):
@@ -106,10 +106,6 @@ class ParallelScavenge(Collector):
     # ==================================================================
     # TeraHeap hook points (no-ops in plain PS)
     # ==================================================================
-    def is_fenced(self, obj: HeapObject) -> bool:
-        """True when traversal must not cross into ``obj`` (H2 residents)."""
-        return obj.space in (SpaceId.H2, SpaceId.FREED)
-
     def on_mark_visit(self, obj: HeapObject) -> None:
         """Per-object hook during major marking (Panthera charges NVM I/O)."""
 
@@ -119,8 +115,9 @@ class ParallelScavenge(Collector):
     def on_minor_copy(self, obj: HeapObject) -> None:
         """Per-object hook during scavenge copying (memory-mode charges)."""
 
-    def on_forward_reference(self, target: HeapObject) -> None:
-        """Called for each H1-to-H2 edge found during major marking."""
+    def on_forward_reference(self, target: int) -> None:
+        """Called with the target oid of each H1-to-H2 edge (or H2 root)
+        found during major marking."""
 
     def minor_h2_roots(self) -> List[int]:
         """Oids of young H1 objects kept alive by H2 backward references."""
@@ -138,32 +135,33 @@ class ParallelScavenge(Collector):
 
     def select_h2_movers(
         self, live_oids: List[int], live_bytes: int, epoch: int
-    ) -> "List[Tuple[HeapObject, str]]":
-        """Choose (object, label) pairs to transfer to H2 this GC."""
-        return []
+    ) -> Tuple[List[int], List[str]]:
+        """Choose the movers to transfer to H2 this GC: their oids and,
+        position for position, their labels."""
+        return [], []
 
     def after_marking(self, epoch: int) -> None:
         """Free dead H2 regions (end of marking)."""
 
     def assign_h2_addresses(
-        self, movers: "List[Tuple[HeapObject, str]]", epoch: int
-    ) -> "List[Tuple[HeapObject, str]]":
+        self, movers: List[int], labels: List[str], epoch: int
+    ) -> List[int]:
         """Pre-compaction for movers: pick region + address per object.
 
-        Returns the movers that actually received an H2 address; the
-        rest stay in H1 and compact with the stayers.
+        Returns the oids that actually received an H2 address; the rest
+        stay in H1 and compact with the stayers.
         """
         return movers
 
     def adjust_mover_references(
-        self, movers: "List[Tuple[HeapObject, str]]", stayers: Set[int]
+        self, movers: List[int], stayers: Set[int]
     ) -> None:
         """Record new cross-region and backward references for movers."""
 
     def adjust_h2_backward_refs(self) -> None:
         """Rewrite H2-resident backward references to new H1 locations."""
 
-    def compact_movers(self, movers: "List[Tuple[HeapObject, str]]") -> None:
+    def compact_movers(self, movers: List[int]) -> None:
         """Write movers to the device through promotion buffers."""
 
     def on_major_complete(self, epoch: int) -> None:
@@ -183,7 +181,6 @@ class ParallelScavenge(Collector):
         epoch_arr = st.mark_epoch
         refs_arr = st.refs
         size_arr = st.size
-        sf_arr = st.scan_factor
         age_arr = st.age
         addr_arr = st.address
         visit_cost = cost.gc_visit_cost
@@ -207,9 +204,7 @@ class ParallelScavenge(Collector):
             card_work: Dict[int, float] = {}
             for card in heap.card_table.dirty_cards():
                 lo, hi = heap.card_table.card_range(card)
-                on_card = [
-                    o.oid for o in heap.old.objects_overlapping(lo, hi)
-                ]
+                on_card = heap.old.oids_overlapping(lo, hi)
                 scanned_cards.append((card, on_card))
                 work = 0.0
                 for old_oid in on_card:
@@ -248,15 +243,14 @@ class ParallelScavenge(Collector):
                     continue
                 epoch_arr[oid] = epoch
                 live_young.append(oid)
-                targets = refs_arr[oid]
-                scan.add(
-                    visit_cost * sf_arr[oid] + ref_cost * len(targets)
-                )
-                for t in targets:
+                for t in refs_arr[oid]:
                     if space_arr[t] <= SPACE_TO and epoch_arr[t] < epoch:
                         stack.append(t)
                     # Old-gen and H2 targets are not traversed in a
                     # scavenge; H2 targets are additionally fenced.
+            scan.add_many(
+                st.scan_costs(live_young, visit_cost, ref_cost, scaled=True)
+            )
             scan.flush()
             self._run_phase(bag, "minor-trace")
 
@@ -307,26 +301,32 @@ class ParallelScavenge(Collector):
             )
             relocated: Set[int] = set()
             handle = st.handle
+            copy_bw = cost.gc_copy_bw
+            costs = []
+            to_place = to_space.place
             for oid in survivors:
-                if not to_space.allocate(handle(oid)):
+                if not to_place(st, oid):
                     promote.append(oid)
                     continue
-                copier.add(size_arr[oid] / cost.gc_copy_bw)
+                costs.append(size_arr[oid] / copy_bw)
                 relocated.add(oid)
                 if copy_hook is not None:
                     copy_hook(handle(oid))
             promoted_bytes = 0
+            old_place = heap.old.place
             for oid in promote:
-                if not heap.old.allocate(handle(oid)):
+                if not old_place(st, oid):
+                    copier.add_many(costs)
                     copier.flush()
                     self._run_phase(copy_bag, "minor-copy")
                     raise PromotionFailure()
-                copier.add(size_arr[oid] / cost.gc_copy_bw)
+                costs.append(size_arr[oid] / copy_bw)
                 promoted_bytes += size_arr[oid]
                 relocated.add(oid)
                 if copy_hook is not None:
                     copy_hook(handle(oid))
             heap.swap_survivors()
+            copier.add_many(costs)
             copier.flush()
             self._run_phase(copy_bag, "minor-copy")
 
@@ -391,14 +391,13 @@ class ParallelScavenge(Collector):
                 space_arr = st.space
                 epoch_arr = st.mark_epoch
                 refs_arr = st.refs
-                sf_arr = st.scan_factor
                 visit_cost = cost.gc_visit_cost
                 ref_cost = cost.gc_ref_cost
                 handle = st.handle
                 # Hook dispatch: hoisting the no-op defaults out of the
-                # trace loop saves a handle lookup per visit; subclasses
-                # that override (Panthera NVM charges, TeraHeap fences)
-                # still see every object they used to.
+                # trace loop saves a call per visit; subclasses that
+                # override (Panthera NVM charges, TeraHeap fences) still
+                # see every object they used to.
                 visit_hook = (
                     None
                     if type(self).on_mark_visit
@@ -418,18 +417,20 @@ class ParallelScavenge(Collector):
                 self.pre_major_mark()
                 stack: List[int] = []
                 for obj in self.roots:
-                    if obj.in_h1:
-                        stack.append(obj.oid)
-                    elif self.is_fenced(obj):
+                    oid = obj.oid
+                    if space_arr[oid] <= SPACE_OLD:
+                        stack.append(oid)
+                    else:
                         # Stack/static roots referencing H2 directly count
                         # as forward references: they pin the region.
-                        self.on_forward_reference(obj)
+                        self.on_forward_reference(oid)
                 stack.extend(self.major_h2_roots())
                 # Order-preserving DFS kernel over the store's columns:
                 # identical stack-pop visit order (and therefore batch
                 # boundaries and engine schedules) to the old per-object
                 # traversal.  The fence check is inlined: H2/FREED codes
-                # sort above every H1 code.
+                # sort above every H1 code.  Visit costs are computed for
+                # the whole visit order afterwards and folded at once.
                 live: List[int] = []
                 while stack:
                     oid = stack.pop()
@@ -437,24 +438,25 @@ class ParallelScavenge(Collector):
                         continue
                     epoch_arr[oid] = epoch
                     live.append(oid)
-                    targets = refs_arr[oid]
-                    mark.add(
-                        visit_cost * sf_arr[oid] + ref_cost * len(targets)
-                    )
                     if visit_hook is not None:
                         visit_hook(handle(oid))
-                    for t in targets:
+                    for t in refs_arr[oid]:
                         if space_arr[t] > SPACE_OLD:
                             # Fence: never cross from H1 into H2.
                             if fwd_hook is not None:
-                                fwd_hook(handle(t))
+                                fwd_hook(t)
                             continue
                         if epoch_arr[t] < epoch:
                             stack.append(t)
+                mark.add_many(
+                    st.scan_costs(live, visit_cost, ref_cost, scaled=True)
+                )
                 mark.flush()
                 self._run_phase(bag, "major-mark", workers=workers)
                 live_bytes = st.sum_sizes(live)
-                movers = self.select_h2_movers(live, live_bytes, epoch)
+                movers, labels = self.select_h2_movers(
+                    live, live_bytes, epoch
+                )
                 self.after_marking(epoch)
             phases["marking"] = self.clock.now - t0
 
@@ -465,58 +467,47 @@ class ParallelScavenge(Collector):
                 # address (device full, degraded H2) and must then be
                 # treated as a stayer, so the stayer set is only known
                 # after placement.
-                movers = self.assign_h2_addresses(movers, epoch)
-                mover_ids = {obj.oid for obj, _ in movers}
+                movers = self.assign_h2_addresses(movers, labels, epoch)
+                if movers:
+                    mover_ids = set(movers)
+                    stay = [oid for oid in live if oid not in mover_ids]
+                else:
+                    stay = live
                 # Sliding compaction: preserve address order so the
                 # stable prefix of long-lived data (e.g. the cached
                 # partitions at the bottom of the old gen) is not
-                # rewritten every major GC.  Rank by space code:
-                # OLD first, then EDEN/FROM/TO.
-                size_arr = st.size
-                addr_arr = st.address
-                fwd_addr_arr = st.forward_address
-                fwd_space_arr = st.forward_space
-                space_rank = _SPACE_RANK
-                stayers = sorted(
-                    (oid for oid in live if oid not in mover_ids),
-                    key=lambda oid: (
-                        space_rank[space_arr[oid]],
-                        addr_arr[oid],
-                    ),
-                )
+                # rewritten every major GC.  Rank by space code: OLD
+                # first, then EDEN/FROM/TO.  (rank, address) is unique
+                # within H1, so the sort order is fully determined.
+                # (Column views stay temporaries here: a view held in a
+                # frame that an exception unwinds would pin the store's
+                # arrays against growth.)
+                stay_idx = np.array(stay, dtype=np.int64)
+                stay_idx = stay_idx[
+                    np.lexsort(
+                        (
+                            st.address_view()[stay_idx],
+                            _SPACE_RANK[st.space_view()[stay_idx]],
+                        )
+                    )
+                ]
                 bag = TaskBag()
                 forward = bag.batcher(
                     "major-forward",
                     "precompact",
                     self.batch.precompact_batch_objects,
                 )
-                for _ in live:
-                    forward.add(cost.gc_forward_cost)
+                forward.add_many(np.full(len(live), cost.gc_forward_cost))
                 forward.flush()
-                total_stay = st.sum_sizes(stayers)
+                sizes = st.size_view()[stay_idx]
+                total_stay = int(sizes.sum())
                 if total_stay > heap.old.capacity + heap.eden.capacity:
                     raise OutOfMemoryError(
                         "live data exceeds heap after full GC",
                         requested=total_stay,
                         available=heap.old.capacity + heap.eden.capacity,
                     )
-                old_cursor = heap.old.base
-                eden_cursor = heap.eden.base
-                in_old: List[int] = []
-                in_eden: List[int] = []
-                old_end = heap.old.end
-                for oid in stayers:
-                    size = size_arr[oid]
-                    if old_cursor + size <= old_end:
-                        fwd_addr_arr[oid] = old_cursor
-                        fwd_space_arr[oid] = SPACE_OLD
-                        old_cursor += size
-                        in_old.append(oid)
-                    else:
-                        fwd_addr_arr[oid] = eden_cursor
-                        fwd_space_arr[oid] = SPACE_EDEN
-                        eden_cursor += size
-                        in_eden.append(oid)
+                in_old, in_eden = self._forward_stayers(stay_idx, sizes)
                 self._run_phase(bag, "major-precompact", workers=workers)
             phases["precompact"] = self.clock.now - t0
 
@@ -527,10 +518,11 @@ class ParallelScavenge(Collector):
                 adjust = bag.batcher(
                     "major-adjust", "scan", self.batch.scan_batch_objects
                 )
-                for oid in live:
-                    adjust.add(visit_cost + ref_cost * len(refs_arr[oid]))
+                adjust.add_many(
+                    st.scan_costs(live, visit_cost, ref_cost, scaled=False)
+                )
                 adjust.flush()
-                stayer_ids = set(stayers)
+                stayer_ids = set(stay)
                 # Backward-reference maintenance first: it reclassifies the
                 # cards scanned at marking time, and the mover adjustments
                 # that follow may dirty those same cards with *new*
@@ -547,33 +539,17 @@ class ParallelScavenge(Collector):
                 compact = bag.batcher(
                     "major-compact", "compact", self.batch.copy_batch_objects
                 )
-                move_hook = (
-                    None
-                    if type(self).on_compact_move
-                    is ParallelScavenge.on_compact_move
-                    else self.on_compact_move
-                )
-                copy_bw = cost.gc_copy_bw
-                for oid in in_old:
-                    fwd = fwd_addr_arr[oid]
-                    moved = addr_arr[oid] != fwd
-                    addr_arr[oid] = fwd
-                    space_arr[oid] = SPACE_OLD
-                    fwd_addr_arr[oid] = -1
-                    fwd_space_arr[oid] = NO_SPACE
-                    if moved:
-                        compact.add(size_arr[oid] / copy_bw)
-                        if move_hook is not None:
-                            move_hook(handle(oid))
-                for oid in in_eden:
-                    fwd = fwd_addr_arr[oid]
-                    moved = addr_arr[oid] != fwd
-                    addr_arr[oid] = fwd
-                    space_arr[oid] = SPACE_EDEN
-                    fwd_addr_arr[oid] = -1
-                    fwd_space_arr[oid] = NO_SPACE
-                    if moved:
-                        compact.add(size_arr[oid] / copy_bw)
+                # Slide every stayer to its forwarding address; only the
+                # objects whose address changed cost a copy.
+                moved_old = self._slide(in_old, SPACE_OLD)
+                moved_eden = self._slide(in_eden, SPACE_EDEN)
+                moved = np.concatenate((moved_old, moved_eden))
+                compact.add_many(st.size_view()[moved] / cost.gc_copy_bw)
+                if type(self).on_compact_move is not (
+                    ParallelScavenge.on_compact_move
+                ):
+                    for oid in moved_old.tolist():
+                        self.on_compact_move(handle(oid))
                 compact.flush()
                 self._run_phase(bag, "major-compact", workers=workers)
                 self.compact_movers(movers)
@@ -589,23 +565,16 @@ class ParallelScavenge(Collector):
                     oids = space.oid_array()
                     dead = oids[~st.live_mask(oids, epoch)]
                     st.set_space_batch(dead, SPACE_FREED)
-                heap.eden.reset()
                 heap.survivor_from.reset()
                 heap.survivor_to.reset()
-                heap.old.rebuild_after_compaction(
-                    [handle(oid) for oid in in_old]
-                )
-                heap.eden.objects = [handle(oid) for oid in in_eden]
-                heap.eden.top = (
-                    addr_arr[in_eden[-1]] + size_arr[in_eden[-1]]
-                    if in_eden
-                    else heap.eden.base
-                )
+                heap.old.install(st, in_old)
+                heap.eden.install(st, in_eden)
                 # Card table: after a full GC only old objects referencing
                 # (overflowed) eden objects need dirty cards.
                 heap.card_table.clear_all()
-                if in_eden:
-                    for oid in in_old:
+                if len(in_eden):
+                    addr_arr = st.address
+                    for oid in in_old.tolist():
                         if any(
                             space_arr[t] <= SPACE_TO for t in refs_arr[oid]
                         ):
@@ -614,7 +583,7 @@ class ParallelScavenge(Collector):
 
             self.on_major_complete(epoch)
             duration = self.clock.now - start
-            moved_bytes = sum(o.size for o, _ in movers)
+            moved_bytes = st.sum_sizes(movers)
             cycle = GCCycle(
                 kind="major",
                 start_time=start,
@@ -628,6 +597,66 @@ class ParallelScavenge(Collector):
             self.stats.record(cycle)
             self.clock.record_event("major_gc", duration)
             return cycle
+
+
+    def _forward_stayers(
+        self, stayers: np.ndarray, sizes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pre-compaction: assign each stayer (in sliding order) its
+        forwarding address; returns the oids bound for the old
+        generation and for eden.
+
+        Stayers fill the old generation from its base, in order; one that
+        does not fit goes to eden instead, and later (smaller) stayers
+        still try the old generation first.  The prefix that fits is
+        placed with one cumulative sum; the rest, rare, one by one.
+        """
+        st = self.store
+        old = self.heap.old
+        ends = old.base + np.cumsum(sizes)
+        fits = int(np.searchsorted(ends, old.end, side="right"))
+        head = stayers[:fits]
+        st.forward_address_view()[head] = ends[:fits] - sizes[:fits]
+        st.forward_space_view()[head] = SPACE_OLD
+        if fits == len(stayers):
+            return head, stayers[fits:]
+        fwd_addr_arr = st.forward_address
+        fwd_space_arr = st.forward_space
+        old_cursor = int(ends[fits - 1]) if fits else old.base
+        old_end = old.end
+        eden_cursor = self.heap.eden.base
+        tail_old: List[int] = []
+        in_eden: List[int] = []
+        for oid, size in zip(stayers[fits:].tolist(), sizes[fits:].tolist()):
+            if old_cursor + size <= old_end:
+                fwd_addr_arr[oid] = old_cursor
+                fwd_space_arr[oid] = SPACE_OLD
+                old_cursor += size
+                tail_old.append(oid)
+            else:
+                fwd_addr_arr[oid] = eden_cursor
+                fwd_space_arr[oid] = SPACE_EDEN
+                eden_cursor += size
+                in_eden.append(oid)
+        return (
+            np.concatenate((head, np.array(tail_old, dtype=np.int64))),
+            np.array(in_eden, dtype=np.int64),
+        )
+
+    def _slide(self, oids: np.ndarray, space_code: int) -> np.ndarray:
+        """Compaction: move ``oids`` to their forwarding addresses in
+        ``space_code`` and clear the forwarding state; returns the oids
+        whose address changed, in order."""
+        st = self.store
+        addr_view = st.address_view()
+        fwd_addr_view = st.forward_address_view()
+        fwd = fwd_addr_view[oids]
+        moved = oids[addr_view[oids] != fwd]
+        addr_view[oids] = fwd
+        st.space_view()[oids] = space_code
+        fwd_addr_view[oids] = -1
+        st.forward_space_view()[oids] = NO_SPACE
+        return moved
 
 
 class ParallelScavengeJDK11(ParallelScavenge):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import List, Optional
 
 import numpy as np
 
 from ..errors import ConfigError
-from .object_model import HeapObject, SpaceId
+from .object_model import SPACE_CODES, HeapObject, SpaceId
 
 
 class Space:
@@ -17,8 +19,10 @@ class Space:
     address, which lets card scans locate the objects overlapping a card
     segment with binary search — the same trick real card-table scanning
     relies on (objects-per-card lookup via block-offset tables).  The
-    address index is kept as a numpy array so overlap queries and audit
-    sweeps run as vector ops over the store's columns.
+    search runs over ``_addrs``, the start addresses of ``_oids`` (the
+    space's oids in address order); both are appended on every bump
+    allocation alongside ``objects``, so no lookup ever rebuilds an index
+    from handles.
     """
 
     def __init__(self, space_id: SpaceId, base: int, capacity: int, name: str = ""):
@@ -29,8 +33,11 @@ class Space:
         self.capacity = capacity
         self.top = base
         self.objects: List[HeapObject] = []
+        #: oids and start addresses of ``objects``, same order, as flat
+        #: int64 arrays; every mutation of ``objects`` keeps them in step
+        self._oids = array("q")
+        self._addrs = array("q")
         self.name = name or space_id.value
-        self._addr_cache: Optional[np.ndarray] = None
         self._oid_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -59,13 +66,23 @@ class Space:
     # ------------------------------------------------------------------
     def allocate(self, obj: HeapObject) -> bool:
         """Bump-allocate ``obj``; returns False when the space is full."""
-        if not self.has_room(obj.size):
+        return self.place(obj._store, obj.oid)
+
+    def place(self, store, oid: int) -> bool:
+        """Bump-allocate row ``oid``: writes its address and space columns.
+
+        Returns False when the space is full.
+        """
+        size = store.size[oid]
+        top = self.top
+        if self.capacity - (top - self.base) < size:
             return False
-        obj.address = self.top
-        obj.space = self.space_id
-        self.top += obj.size
-        self.objects.append(obj)
-        self._addr_cache = None
+        store.address[oid] = top
+        store.space[oid] = SPACE_CODES[self.space_id]
+        self.top = top + size
+        self.objects.append(store.handle(oid))
+        self._oids.append(oid)
+        self._addrs.append(top)
         self._oid_cache = None
         return True
 
@@ -73,7 +90,27 @@ class Space:
         """Empty the space (end of scavenge for eden/from-space)."""
         self.top = self.base
         self.objects.clear()
-        self._addr_cache = None
+        self._oids = array("q")
+        self._addrs = array("q")
+        self._oid_cache = None
+
+    def install(self, store, oids) -> None:
+        """Install an address-sorted population placed by a compaction.
+
+        ``oids`` is any int sequence or array.  The bump pointer lands at
+        the end of the last object (or the base when ``oids`` is empty).
+        """
+        idx = np.asarray(oids, dtype=np.int64)
+        self._oids = array("q", idx.tobytes())
+        if idx.size:
+            self.objects = list(map(store.handle, self._oids))
+            self._addrs = array("q", store.address_view()[idx].tobytes())
+            last = self._oids[-1]
+            self.top = store.address[last] + store.size[last]
+        else:
+            self.objects = []
+            self._addrs = array("q")
+            self.top = self.base
         self._oid_cache = None
 
     def live_bytes(self) -> int:
@@ -83,40 +120,46 @@ class Space:
         return store.sum_sizes(self.oid_array())
 
     # ------------------------------------------------------------------
-    def _index(self) -> np.ndarray:
-        if self._addr_cache is None:
-            self._addr_cache = np.fromiter(
-                (o.address for o in self.objects),
-                dtype=np.int64,
-                count=len(self.objects),
-            )
-        return self._addr_cache
-
     def oid_array(self) -> np.ndarray:
         """The space's oids in address order (batch-kernel input)."""
         if self._oid_cache is None:
-            self._oid_cache = np.fromiter(
-                (o.oid for o in self.objects),
-                dtype=np.int64,
-                count=len(self.objects),
-            )
+            # A copy: a view would pin ``_oids`` against growth.
+            self._oid_cache = np.array(self._oids, dtype=np.int64)
         return self._oid_cache
+
+    def oids_overlapping(self, lo: int, hi: int) -> List[int]:
+        """Oids of the objects whose extent intersects [lo, hi)."""
+        oids = self._oids
+        if not oids:
+            return []
+        store = self.objects[0]._store
+        return overlapping(oids, self._addrs, store, lo, hi)
 
     def objects_overlapping(self, lo: int, hi: int) -> List[HeapObject]:
         """Objects whose extent intersects the address range [lo, hi)."""
-        if not self.objects:
-            return []
-        addrs = self._index()
-        # First object that could overlap: the one starting at or before lo.
-        start = int(np.searchsorted(addrs, lo, side="right")) - 1
-        if start < 0:
-            start = 0
-        stop = int(np.searchsorted(addrs, hi, side="left")) + 1
-        result = []
-        for obj in self.objects[start:stop]:
-            if obj.address < hi and obj.end_address() > lo:
-                result.append(obj)
-        return result
+        oids = self.oids_overlapping(lo, hi)
+        return [self.objects[0]._store.handle(oid) for oid in oids]
+
+
+def overlapping(oids, addrs, store, lo: int, hi: int) -> List[int]:
+    """The oids of an address-sorted run whose extent meets [lo, hi).
+
+    Binary search over ``addrs`` (the run's start addresses) narrows the
+    candidates to the object starting at or before ``lo`` through the
+    first starting at or after ``hi``; the extent test over the store's
+    columns then keeps the ones that intersect.
+    """
+    start = bisect_right(addrs, lo) - 1
+    if start < 0:
+        start = 0
+    stop = bisect_left(addrs, hi) + 1
+    address = store.address
+    size = store.size
+    return [
+        oid
+        for oid in oids[start:stop]
+        if address[oid] < hi and address[oid] + size[oid] > lo
+    ]
 
 
 class OldGeneration(Space):
@@ -127,7 +170,5 @@ class OldGeneration(Space):
 
     def rebuild_after_compaction(self, survivors: List[HeapObject]) -> None:
         """Install the post-compaction object list (already address-sorted)."""
-        self.objects = survivors
-        self.top = survivors[-1].end_address() if survivors else self.base
-        self._addr_cache = None
-        self._oid_cache = None
+        store = survivors[0]._store if survivors else None
+        self.install(store, [o.oid for o in survivors])

@@ -171,6 +171,15 @@ class HeapStore:
     def epoch_view(self) -> np.ndarray:
         return np.frombuffer(self.mark_epoch, dtype=np.int64)
 
+    def forward_address_view(self) -> np.ndarray:
+        return np.frombuffer(self.forward_address, dtype=np.int64)
+
+    def forward_space_view(self) -> np.ndarray:
+        return np.frombuffer(self.forward_space, dtype=np.int8)
+
+    def scan_factor_view(self) -> np.ndarray:
+        return np.frombuffer(self.scan_factor, dtype=np.float64)
+
     # -- CSR edge table ------------------------------------------------
     def edge_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Snapshot the adjacency lists as (ref_offsets, ref_targets).
@@ -253,6 +262,30 @@ class HeapStore:
         if idx.size:
             view = self.age_view()
             view[idx] += 1
+
+    def scan_costs(
+        self, oids, visit_cost: float, ref_cost: float, scaled: bool
+    ) -> np.ndarray:
+        """GC scan cost of each of ``oids``, position for position.
+
+        ``visit_cost * scan_factor + ref_cost * len(refs)`` (the scan
+        factor only when ``scaled``), evaluated with the same float
+        operations in the same order as that scalar formula, so cost sums
+        folded from the result are bit-identical to per-object ones.
+        """
+        count = len(oids)
+        if not count:
+            return np.empty(0, dtype=np.float64)
+        refs = self.refs
+        degree = np.fromiter(
+            map(len, map(refs.__getitem__, oids)), dtype=np.int64, count=count
+        )
+        if scaled:
+            idx = np.asarray(oids, dtype=np.int64)
+            visit = visit_cost * self.scan_factor_view()[idx]
+        else:
+            visit = visit_cost
+        return visit + ref_cost * degree
 
     def sum_sizes(self, oids) -> int:
         idx = np.asarray(oids, dtype=np.int64)

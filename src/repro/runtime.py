@@ -353,7 +353,8 @@ class JavaVM:
                 space_col[oid] = SPACE_EDEN
                 eden.top = top + size
                 eden.objects.append(obj)
-                eden._addr_cache = None
+                eden._oids.append(oid)
+                eden._addrs.append(top)
                 eden._oid_cache = None
                 heap.allocated_objects += 1
                 heap.allocated_bytes += size

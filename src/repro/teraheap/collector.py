@@ -19,6 +19,7 @@ Major GC extends all four PS phases:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Set, Tuple
 
 from ..clock import Clock
@@ -27,7 +28,6 @@ from ..errors import DeviceFullError, SegmentationFault, SimulatedCrash
 from ..gc.engine import TaskBag, chunked_sweep
 from ..gc.parallel_scavenge import ParallelScavenge
 from ..heap.heap import ManagedHeap
-from ..heap.object_model import HeapObject, SpaceId
 from ..heap.roots import RootSet
 from ..heap.store import (
     FLAG_H2_CANDIDATE,
@@ -89,6 +89,9 @@ class TeraHeapCollector(ParallelScavenge):
         self._minor_scanned: List[Tuple[int, List[int]]] = []
         self._major_scanned: List[Tuple[int, List[int]]] = []
         self._moved_labels: Set[str] = set()
+        #: regions already marked live by a fenced forward reference in
+        #: the current marking pass
+        self._fenced_regions: Set[int] = set()
         #: per-cycle placement outcome, reported to the governor at the
         #: end of every major GC
         self._cycle_denied = 0
@@ -150,9 +153,7 @@ class TeraHeapCollector(ParallelScavenge):
             if region is None or region.is_empty:
                 table.set_state(card, CardState.CLEAN)
                 continue
-            on_card = [
-                o.oid for o in region.objects_overlapping(lo, hi)
-            ]
+            on_card = region.oids_overlapping(lo, hi)
             # Reading device-resident objects to inspect their references.
             self.h2.scan_load(lo, hi - lo)
             card_work = 0.0
@@ -253,23 +254,31 @@ class TeraHeapCollector(ParallelScavenge):
     # ==================================================================
     def pre_major_mark(self) -> None:
         self.h2.reset_live_bits()
+        self._fenced_regions = set()
 
     def major_h2_roots(self) -> List[int]:
         roots, self._major_scanned = self._scan_h2_cards(major=True)
+        # The card scan may record dependency edges, so regions marked
+        # live from the root set count afresh: the marking DFS that
+        # follows records none, so one liveness walk per region is exact.
+        self._fenced_regions = set()
         return roots
 
-    def on_forward_reference(self, target: HeapObject) -> None:
-        if target.space is SpaceId.FREED:
+    def on_forward_reference(self, target: int) -> None:
+        st = self.store
+        if st.space[target] == SPACE_FREED:
             raise SegmentationFault(
-                f"live H1 object references reclaimed H2 object #{target.oid}"
+                f"live H1 object references reclaimed H2 object #{target}"
             )
         self.forward_refs_fenced += 1
-        if target.region_id >= 0:
-            self.h2.mark_region_live(target.region_id)
+        region = st.region_id[target]
+        if region >= 0 and region not in self._fenced_regions:
+            self._fenced_regions.add(region)
+            self.h2.mark_region_live(region)
 
     def select_h2_movers(
         self, live_oids: List[int], live_bytes: int, epoch: int
-    ) -> List[Tuple[HeapObject, str]]:
+    ) -> Tuple[List[int], List[str]]:
         if (
             self.h2.resilience is not None
             and self.h2.resilience.degraded
@@ -278,25 +287,26 @@ class TeraHeapCollector(ParallelScavenge):
             # stay in H1 (the serialization-fallback baseline).  Tagged
             # candidates keep their labels in case H2 recovers in a
             # future configuration.
-            return []
+            return [], []
         cost = self.cost
         st = self.store
         space_arr = st.space
         epoch_arr = st.mark_epoch
         refs_arr = st.refs
         flags_arr = st.flags
+        size_arr = st.size
         label_list = st.label
-        handle = st.handle
         visit_cost = cost.gc_visit_cost
         ref_cost = cost.gc_ref_cost
         # --- transitive closure of tagged root key-objects --------------
         # Order-preserving DFS over the store columns: same stack-pop
         # order (and batch boundaries) as the old per-handle traversal.
-        groups: Dict[str, List[HeapObject]] = {}
+        groups: Dict[str, List[int]] = {}
         bag = TaskBag()
         closure = bag.batcher(
             "h2-closure", "scan", self.batch.scan_batch_objects
         )
+        costs: List[float] = []
         for root in self.hints.tagged_roots():
             root_oid = root.oid
             if epoch_arr[root_oid] < epoch or space_arr[root_oid] > SPACE_OLD:
@@ -325,33 +335,33 @@ class TeraHeapCollector(ParallelScavenge):
                     continue
                 label_list[oid] = label
                 flags_arr[oid] = flags | FLAG_H2_CANDIDATE
-                members.append(handle(oid))
+                members.append(oid)
                 targets = refs_arr[oid]
-                closure.add(visit_cost + ref_cost * len(targets))
+                costs.append(visit_cost + ref_cost * len(targets))
                 for t in targets:
                     if space_arr[t] <= SPACE_OLD and not (
                         flags_arr[t] & FLAG_H2_CANDIDATE
                     ):
                         stack.append(t)
+        closure.add_many(costs)
         closure.flush()
         self._run_phase(bag, "h2-closure", workers=self.major_workers())
 
         # Include groups tagged in earlier GCs but not yet transferred.
-        grouped_oids = {
-            o.oid for members in groups.values() for o in members
-        }
+        grouped_oids = {oid for members in groups.values() for oid in members}
         for oid in live_oids:
             if (
                 flags_arr[oid] & FLAG_H2_CANDIDATE
                 and label_list[oid] is not None
                 and oid not in grouped_oids
             ):
-                groups.setdefault(label_list[oid], []).append(handle(oid))
+                groups.setdefault(label_list[oid], []).append(oid)
                 grouped_oids.add(oid)
 
         # --- transfer decision ------------------------------------------
         decision = self.policy.decide(live_bytes)
-        movers: List[Tuple[HeapObject, str]] = []
+        movers: List[int] = []
+        labels: List[str] = []
         moved_labels: Set[str] = set()
         if decision.move_hinted:
             # The governor may cap hinted bytes (circuit open / half-open
@@ -363,16 +373,16 @@ class TeraHeapCollector(ParallelScavenge):
                 if self.hints.is_move_pending(label):
                     members = groups.pop(label)
                     if hinted_budget is None:
-                        movers.extend((o, label) for o in members)
-                        moved_labels.add(label)
-                        continue
-                    taken = []
-                    for obj in members:
-                        if hinted_budget <= 0:
-                            break
-                        taken.append(obj)
-                        hinted_budget -= obj.size
-                    movers.extend((o, label) for o in taken)
+                        taken = members
+                    else:
+                        taken = []
+                        for oid in members:
+                            if hinted_budget <= 0:
+                                break
+                            taken.append(oid)
+                            hinted_budget -= size_arr[oid]
+                    movers.extend(taken)
+                    labels.extend(repeat(label, len(taken)))
                     if len(taken) == len(members):
                         moved_labels.add(label)
                     # A partially-moved hinted label keeps its pending
@@ -388,14 +398,17 @@ class TeraHeapCollector(ParallelScavenge):
                 if budget is not None and budget <= 0:
                     break
                 members = groups.pop(label)
-                taken = []
-                for obj in members:
-                    if budget is not None and budget <= 0:
-                        break
-                    taken.append(obj)
-                    if budget is not None:
-                        budget -= obj.size
-                movers.extend((o, label) for o in taken)
+                if budget is None:
+                    taken = members
+                else:
+                    taken = []
+                    for oid in members:
+                        if budget <= 0:
+                            break
+                        taken.append(oid)
+                        budget -= size_arr[oid]
+                movers.extend(taken)
+                labels.extend(repeat(label, len(taken)))
                 if len(taken) == len(members):
                     moved_labels.add(label)
                 # Untaken members keep their candidate tag and move at a
@@ -403,15 +416,18 @@ class TeraHeapCollector(ParallelScavenge):
         self._moved_labels = moved_labels
         # Whatever was not selected keeps its candidate tag and waits for
         # its h2_move() or for heap pressure.
-        return [(o, lbl) for o, lbl in movers if o.mark_epoch >= epoch]
+        kept = [i for i, oid in enumerate(movers) if epoch_arr[oid] >= epoch]
+        if len(kept) == len(movers):
+            return movers, labels
+        return [movers[i] for i in kept], [labels[i] for i in kept]
 
     def after_marking(self, epoch: int) -> None:
         self.h2.reclaim_dead_regions(epoch)
 
     def assign_h2_addresses(
-        self, movers: List[Tuple[HeapObject, str]], epoch: int
-    ) -> List[Tuple[HeapObject, str]]:
-        """Place movers in H2; returns the subset that actually got an
+        self, movers: List[int], labels: List[str], epoch: int
+    ) -> List[int]:
+        """Place movers in H2; returns the oids that actually got an
         address.
 
         A mover denied by a device-full condition keeps its candidate
@@ -420,45 +436,52 @@ class TeraHeapCollector(ParallelScavenge):
         not retryable), so repeated denials degrade H2 gracefully
         instead of aborting the collection.
         """
-        placed: List[Tuple[HeapObject, str]] = []
+        placed: List[int] = []
+        flags_arr = self.store.flags
         res = self.h2.resilience
         denied = 0
         abort = False
-        for obj, label in movers:
+        start = 0
+        count = len(movers)
+        while start < count:
             if abort or (res is not None and res.degraded):
-                denied += 1
+                denied += count - start
+                break
+            end, exc = self.h2.assign_addresses(movers, labels, epoch, start)
+            for oid in movers[start:end]:
+                flags_arr[oid] &= ~FLAG_H2_CANDIDATE
+            placed.extend(movers[start:end])
+            if exc is None:
+                break
+            if not isinstance(exc, DeviceFullError):
+                raise exc
+            denied += 1
+            start = end + 1
+            if self.governor is not None:
+                # Circuit-breaker fail-fast: one denial is evidence
+                # enough.  Skipping the cycle's remaining movers (they
+                # keep their candidate tags) protects the legacy failure
+                # budget the governor supersedes and lets the circuit
+                # trip before the budget burns.
+                abort = True
+            if getattr(exc, "budget_denial", False):
+                # An arbiter-imposed byte budget, not a sick device: the
+                # movers fall back to H1 this cycle, but the denial must
+                # not burn the resilience failure budget — the quota may
+                # well grow back next epoch.
+                abort = True
                 continue
-            try:
-                self.h2.assign_address(obj, label, epoch)
-            except DeviceFullError as exc:
-                denied += 1
-                if self.governor is not None:
-                    # Circuit-breaker fail-fast: one denial is evidence
-                    # enough.  Skipping the cycle's remaining movers
-                    # (they keep their candidate tags) protects the
-                    # legacy failure budget the governor supersedes and
-                    # lets the circuit trip before the budget burns.
-                    abort = True
-                if getattr(exc, "budget_denial", False):
-                    # An arbiter-imposed byte budget, not a sick device:
-                    # the movers fall back to H1 this cycle, but the
-                    # denial must not burn the resilience failure budget
-                    # — the quota may well grow back next epoch.
-                    abort = True
-                    continue
-                if res is not None:
-                    res.note_failure("h2_assign_address", exc)
-                    continue
-                raise
-            obj.h2_candidate = False
-            placed.append((obj, label))
+            if res is not None:
+                res.note_failure("h2_assign_address", exc)
+                continue
+            raise exc
         self.h2_transfers_denied += denied
         self._cycle_denied = denied
-        self._cycle_placed_bytes = sum(o.size for o, _ in placed)
+        self._cycle_placed_bytes = self.store.sum_sizes(placed)
         return placed
 
     def adjust_mover_references(
-        self, movers: List[Tuple[HeapObject, str]], stayers: Set[int]
+        self, movers: List[int], stayers: Set[int]
     ) -> None:
         table = self.h2.card_table
         st = self.store
@@ -466,8 +489,7 @@ class TeraHeapCollector(ParallelScavenge):
         refs_arr = st.refs
         region_arr = st.region_id
         addr_arr = st.address
-        for obj, _ in movers:
-            oid = obj.oid
+        for oid in movers:
             own_region = region_arr[oid]
             for t in refs_arr[oid]:
                 if space_arr[t] == SPACE_H2 and region_arr[t] != own_region:
@@ -496,7 +518,7 @@ class TeraHeapCollector(ParallelScavenge):
                 continue
             # Recompute the segment's contents: pre-compaction may have
             # placed fresh movers into this card since the marking scan.
-            oids = [o.oid for o in region.objects_overlapping(lo, hi)]
+            oids = region.oids_overlapping(lo, hi)
             has_backward = any(
                 space_arr[t] <= SPACE_OLD or fwd_space_arr[t] != NO_SPACE
                 for oid in oids
@@ -549,9 +571,7 @@ class TeraHeapCollector(ParallelScavenge):
             return CardState.OLD_GEN if self.four_state else CardState.DIRTY
         return CardState.CLEAN
 
-    def mover_copy_batches(
-        self, movers: List[Tuple[HeapObject, str]]
-    ) -> List[List[Tuple[HeapObject, str]]]:
+    def mover_copy_batches(self, movers: List[int]) -> List[List[int]]:
         """Split movers into copy batches matching promotion-buffer flushes.
 
         Movers are grouped per destination region (each region owns one
@@ -559,37 +579,43 @@ class TeraHeapCollector(ParallelScavenge):
         buffer fill — the batch boundaries land exactly where
         :class:`~repro.teraheap.promotion.PromotionManager` flushes.
         Objects at or above the direct-write threshold bypass the buffer
-        and form single-object batches, mirroring the direct-write path.
+        (flushing it first) and form single-object batches, mirroring
+        the direct-write path.
         """
         capacity = self.config.teraheap.promotion_buffer_size
-        by_region: Dict[int, List[Tuple[HeapObject, str]]] = {}
-        order: List[int] = []
-        for obj, label in movers:
-            if obj.region_id not in by_region:
-                order.append(obj.region_id)
-                by_region[obj.region_id] = []
-            by_region[obj.region_id].append((obj, label))
-        batches: List[List[Tuple[HeapObject, str]]] = []
-        for region_index in order:
-            batch: List[Tuple[HeapObject, str]] = []
+        st = self.store
+        size_arr = st.size
+        region_arr = st.region_id
+        by_region: Dict[int, List[int]] = {}
+        for oid in movers:
+            region = region_arr[oid]
+            run = by_region.get(region)
+            if run is None:
+                by_region[region] = [oid]
+            else:
+                run.append(oid)
+        batches: List[List[int]] = []
+        for run in by_region.values():
+            batch: List[int] = []
             batch_bytes = 0
-            for obj, label in by_region[region_index]:
-                if obj.size >= DIRECT_WRITE_THRESHOLD:
+            for oid in run:
+                size = size_arr[oid]
+                if size >= DIRECT_WRITE_THRESHOLD:
                     if batch:
                         batches.append(batch)
                         batch, batch_bytes = [], 0
-                    batches.append([(obj, label)])
+                    batches.append([oid])
                     continue
-                if batch and batch_bytes + obj.size > capacity:
+                if batch and batch_bytes + size > capacity:
                     batches.append(batch)
                     batch, batch_bytes = [], 0
-                batch.append((obj, label))
-                batch_bytes += obj.size
+                batch.append(oid)
+                batch_bytes += size
             if batch:
                 batches.append(batch)
         return batches
 
-    def compact_movers(self, movers: List[Tuple[HeapObject, str]]) -> None:
+    def compact_movers(self, movers: List[int]) -> None:
         res = self.h2.resilience
         plan = res.plan if res is not None else None
         # Mover copy cost is the device write itself (the CPU copy into
@@ -612,8 +638,7 @@ class TeraHeapCollector(ParallelScavenge):
                     safepoint="major_compact",
                     op_index=plan.op_index,
                 )
-            for obj, _ in batch:
-                self.h2.write_object(obj)
+            self.h2.write_objects(batch)
         self.h2.finish_compaction()
         if self._moved_labels:
             self.hints.consume_moved(self._moved_labels)

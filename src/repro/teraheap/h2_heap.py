@@ -10,7 +10,7 @@ stays in DRAM (Figure 2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..clock import Clock
 from ..config import TeraHeapConfig
@@ -25,11 +25,17 @@ from ..errors import (
     UnrecoverableCrash,
 )
 from ..heap.object_model import HeapObject
+from ..heap.store import HeapStore, get_store
 from .h2_card_table import CardState, H2CardTable
 from .promotion import PromotionManager
 from .recovery import RecoveryReport, RegionJournalEntry, header_page
 from .region_groups import RegionGroups
-from .regions import PER_REGION_METADATA_BYTES, Region, RegionLiveness
+from .regions import (
+    PER_REGION_METADATA_BYTES,
+    Region,
+    RegionLiveness,
+    reclaim_regions,
+)
 
 #: base virtual address of the H2 mapping, disjoint from H1
 H2_BASE = 0x1_0000_0000
@@ -134,6 +140,10 @@ class H2Heap:
     def active_regions(self) -> List[Region]:
         return [r for r in self.regions.values() if not r.is_empty]
 
+    def _rows(self) -> HeapStore:
+        """The store holding this heap's objects."""
+        return self.store if self.store is not None else get_store()
+
     def _io(self, op: str, fn):
         """Run one H2 I/O operation under the resilience policy (if any)."""
         if self.resilience is None:
@@ -198,7 +208,22 @@ class H2Heap:
     # Object placement (compaction phase of major GC)
     # ------------------------------------------------------------------
     def assign_address(self, obj: HeapObject, label: str, epoch: int) -> Region:
-        """Pick an H2 address for ``obj`` in its label's open region.
+        """Place one object with :meth:`assign_addresses`; returns its
+        region and raises the placement error, if any."""
+        _, error = self.assign_addresses([obj.oid], [label], epoch)
+        if error is not None:
+            raise error
+        return self.regions[obj.region_id]
+
+    def assign_addresses(
+        self,
+        oids: Sequence[int],
+        labels: Sequence[str],
+        epoch: int,
+        start: int = 0,
+    ) -> Tuple[int, Optional[Exception]]:
+        """Pick an H2 address for each of ``oids[start:]``, in order, in
+        its label's open region.
 
         Objects with the same label land in the same region so whole
         groups can be reclaimed en masse; objects never span regions.
@@ -208,35 +233,82 @@ class H2Heap:
         above a quarter region are segregated into per-label large-object
         regions, so sparse regions of big arrays can die independently of
         dense regions of small objects.
-        """
-        if obj.size > self.config.region_size:
-            raise OutOfMemoryError(
-                f"object of {obj.size} B exceeds H2 region size "
-                f"{self.config.region_size} B",
-                requested=obj.size,
-            )
-        if (
-            self.config.size_aware_placement
-            and obj.size >= self.config.region_size // 4
-        ):
-            label = f"{label}:large"
-        index = self._open_by_label.get(label)
-        region = self.regions.get(index) if index is not None else None
-        if region is None or region.label != label or not region.has_room(obj.size):
-            region = self._new_region(label, epoch)
-            self._open_by_label[label] = region.index
-        region.allocate(obj)
-        obj.label = label
-        self.objects_moved += 1
-        self.bytes_moved += obj.size
-        return region
 
-    def write_object(self, obj: HeapObject) -> None:
-        """Emit the object's bytes through the promotion buffers."""
-        self._io(
-            "h2_write_object",
-            lambda: self.promotion.write_object(obj, obj.region_id),
+        Each placed object gets its address, space, region and label
+        columns written and its region's top bumped, and counts in
+        ``objects_moved``/``bytes_moved``.  Placement stops at the first
+        object that cannot be placed.  Returns ``(end, error)``:
+        ``oids[start:end]`` were placed, and ``error`` is the
+        :class:`DeviceFullError` or :class:`OutOfMemoryError` raised for
+        ``oids[end]`` (``None`` once every object is placed).
+        """
+        store = self._rows()
+        size_col = store.size
+        label_col = store.label
+        region_size = self.config.region_size
+        large = (
+            region_size // 4 if self.config.size_aware_placement else None
         )
+        open_by_label = self._open_by_label
+        regions = self.regions
+        i = start
+        try:
+            for i in range(start, len(oids)):
+                oid = oids[i]
+                size = size_col[oid]
+                if size > region_size:
+                    raise OutOfMemoryError(
+                        f"object of {size} B exceeds H2 region size "
+                        f"{region_size} B",
+                        requested=size,
+                    )
+                label = labels[i]
+                if large is not None and size >= large:
+                    label = f"{label}:large"
+                index = open_by_label.get(label)
+                region = regions.get(index) if index is not None else None
+                if (
+                    region is None
+                    or region.label != label
+                    or not region.place(store, oid)
+                ):
+                    region = self._new_region(label, epoch)
+                    open_by_label[label] = region.index
+                    region.place(store, oid)
+                label_col[oid] = label
+                self.objects_moved += 1
+                self.bytes_moved += size
+        except (DeviceFullError, OutOfMemoryError) as error:
+            return i, error
+        return len(oids), None
+
+    def write_objects(self, oids: Iterable[int]) -> None:
+        """Emit placed objects' bytes through the promotion buffers, in
+        order.
+
+        Under a resilience policy, every object whose write can reach
+        the device (a direct write or a buffer flush) runs as its own
+        ``h2_write_object`` operation with its own retries; staging an
+        object into a buffer touches no device and needs none.
+        """
+        store = self._rows()
+        address = store.address
+        size = store.size
+        region = store.region_id
+        spans = [(address[oid], size[oid], region[oid]) for oid in oids]
+        promotion = self.promotion
+        if self.resilience is None:
+            promotion.write_spans(spans)
+            return
+        for span in spans:
+            one = (span,)
+            if promotion.reaches_device(span[1], span[2]):
+                self._io(
+                    "h2_write_object",
+                    lambda one=one: promotion.write_spans(one),
+                )
+            else:
+                promotion.write_spans(one)
 
     def finish_compaction(self) -> None:
         self._io("h2_flush", self.promotion.flush_all)
@@ -280,6 +352,9 @@ class H2Heap:
         cost is charged to the clock at the end.
         """
         image = self.page_cache.durable_image
+        store = self._rows()
+        address = store.address
+        size = store.size
         self._io("h2_msync", self.mapping.msync)
         pages: List[int] = []
         manifest: List[int] = []
@@ -295,8 +370,8 @@ class H2Heap:
                 live=region.live,
                 deps=self._journal_deps(region),
                 objects=tuple(
-                    (obj.address - region.start, obj.size)
-                    for obj in region.objects
+                    (address[oid] - region.start, size[oid])
+                    for oid in region._oids
                 ),
             )
             page = header_page(index)
@@ -546,14 +621,15 @@ class H2Heap:
         # Re-propagate liveness along dependency lists: edges recorded
         # after a region's live bit was set (e.g. during the card scan)
         # must still pin their targets.
+        regions = self.regions
         if self.region_groups is not None:
             # Any member of a live group is live.
-            for region in self.regions.values():
+            for region in regions.values():
                 if region.live:
                     self._live_group_roots.add(
                         self.region_groups.find(region.index)
                     )
-            for region in self.regions.values():
+            for region in regions.values():
                 if (
                     not region.is_empty
                     and self.region_groups.find(region.index)
@@ -561,16 +637,29 @@ class H2Heap:
                 ):
                     region.live = True
         else:
-            for region in list(self.regions.values()):
-                if region.live:
-                    self.mark_region_live(region.index)
-        reclaimed = []
-        for region in self.regions.values():
-            if region.is_empty or region.live:
-                continue
+            # One traversal from every live region: the live set closes
+            # under the dependency lists.
+            stack = [
+                dep
+                for region in regions.values()
+                if region.live
+                for dep in region.deps
+            ]
+            while stack:
+                region = regions.get(stack.pop())
+                if region is None or region.live:
+                    continue
+                region.live = True
+                stack.extend(region.deps)
+        dead = [
+            region
+            for region in regions.values()
+            if not region.is_empty and not region.live
+        ]
+        for region in dead:
             self.liveness_log.append(
                 RegionLiveness(
-                    total_objects=len(region.objects),
+                    total_objects=region.object_count,
                     live_objects=0,
                     used_bytes=region.used,
                     live_bytes=0,
@@ -580,12 +669,13 @@ class H2Heap:
             self.bytes_reclaimed += region.used
             self.mapping.discard(region.start, region.capacity)
             self.card_table.clear_range(region.start, region.end)
-            region.reclaim()
-            reclaimed.append(region.index)
-        for index in reclaimed:
-            self._free_indices.append(index)
+        reclaim_regions(dead)
+        reclaimed = [region.index for region in dead]
+        self._free_indices.extend(reclaimed)
+        if reclaimed:
+            freed = set(reclaimed)
             for label, open_index in list(self._open_by_label.items()):
-                if open_index == index:
+                if open_index in freed:
                     del self._open_by_label[label]
         if self.region_groups is not None and reclaimed:
             self.region_groups.remove(reclaimed)

@@ -10,13 +10,15 @@ a time — no object is ever compacted on the device.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from array import array
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..heap.object_model import HeapObject, SpaceId
-from ..heap.store import SPACE_FREED
+from ..heap.object_model import HeapObject
+from ..heap.spaces import overlapping
+from ..heap.store import SPACE_FREED, SPACE_H2
 from ..units import TiB
 
 # Figure 2 metadata, sized per region (measured on the authors' struct
@@ -26,6 +28,9 @@ from ..units import TiB
 #   dependency list: ~10 nodes on average (Section 3.3) x 24 B        = 240 B
 #   promotion-buffer descriptor                                       = 24 B
 PER_REGION_METADATA_BYTES = 64 + 89 + 10 * 24 + 24  # = 417
+
+#: the oid array every empty region shares; never appended to
+_NO_OIDS = array("q")
 
 
 def metadata_bytes_per_tb(region_size: int) -> int:
@@ -41,7 +46,12 @@ def metadata_bytes_per_tb(region_size: int) -> int:
 
 
 class Region:
-    """One H2 region plus its DRAM metadata entry."""
+    """One H2 region plus its DRAM metadata entry.
+
+    The region's objects are kept as an int64 array of oids in placement
+    (= address) order, appended on every placement; their addresses and
+    sizes live in the heap store's columns.
+    """
 
     __slots__ = (
         "index",
@@ -51,9 +61,9 @@ class Region:
         "live",
         "label",
         "deps",
-        "objects",
         "allocated_epoch",
-        "_addr_cache",
+        "_store",
+        "_oids",
         "_oid_cache",
     )
 
@@ -72,9 +82,12 @@ class Region:
         #: dependency list: indices of regions referenced by objects here.
         #: The paper keeps direction — this set holds *outgoing* edges.
         self.deps: Set[int] = set()
-        self.objects: List[HeapObject] = []
         self.allocated_epoch = 0
-        self._addr_cache: Optional[List[int]] = None
+        #: the heap store holding the placed objects' rows
+        self._store = None
+        #: oids of the placed objects (an empty region shares one empty
+        #: array: thousands of reclaimed regions wait on the free list)
+        self._oids = _NO_OIDS
         self._oid_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -94,6 +107,17 @@ class Region:
     def is_empty(self) -> bool:
         return self.top == self.start
 
+    @property
+    def objects(self) -> List[HeapObject]:
+        """Handles of the placed objects, in address order."""
+        if not self._oids:
+            return []
+        return list(map(self._store.handle, self._oids))
+
+    @property
+    def object_count(self) -> int:
+        return len(self._oids)
+
     def contains_address(self, address: int) -> bool:
         return self.start <= address < self.end
 
@@ -103,25 +127,31 @@ class Region:
     # ------------------------------------------------------------------
     def allocate(self, obj: HeapObject) -> bool:
         """Append-only placement; objects never span regions (Section 3.4)."""
-        if not self.has_room(obj.size):
+        return self.place(obj._store, obj.oid)
+
+    def place(self, store, oid: int) -> bool:
+        """Place row ``oid`` at the top: writes its address, space and
+        region columns and bumps the top pointer."""
+        size = store.size[oid]
+        top = self.top
+        if self.capacity - (top - self.start) < size:
             return False
-        obj.address = self.top
-        obj.space = SpaceId.H2
-        obj.region_id = self.index
-        self.top += obj.size
-        self.objects.append(obj)
-        self._addr_cache = None
+        store.address[oid] = top
+        store.space[oid] = SPACE_H2
+        store.region_id[oid] = self.index
+        self.top = top + size
+        if not self._oids:
+            self._oids = array("q")
+            self._store = store
+        self._oids.append(oid)
         self._oid_cache = None
         return True
 
     def oid_array(self) -> np.ndarray:
         """The region's oids in allocation (= address) order."""
         if self._oid_cache is None:
-            self._oid_cache = np.fromiter(
-                (o.oid for o in self.objects),
-                dtype=np.int64,
-                count=len(self.objects),
-            )
+            # A copy: a view would pin ``_oids`` against growth.
+            self._oid_cache = np.array(self._oids, dtype=np.int64)
         return self._oid_cache
 
     def live_object_stats(self, mark_epoch: int) -> "RegionLiveness":
@@ -132,9 +162,9 @@ class Region:
         the collector (``mark_epoch``) to measure intra-region garbage the
         way the paper's Figure 10 does.
         """
-        total = len(self.objects)
+        total = len(self._oids)
         if total:
-            store = self.objects[0]._store
+            store = self._store
             oids = self.oid_array()
             mask = store.epoch_view()[oids] >= mark_epoch
             live = int(mask.sum())
@@ -154,35 +184,66 @@ class Region:
         """Free the region in bulk: zero the allocation pointer, delete the
         dependency list (Section 3.3).  Returns the dropped objects."""
         dropped = self.objects
-        if dropped:
-            store = dropped[0]._store
-            oids = self.oid_array()
-            store.set_space_batch(oids, SPACE_FREED)
-            store.region_view()[oids] = -1
-        self.objects = []
-        self.top = self.start
-        self.live = False
-        self.label = None
-        self.deps = set()
-        self._addr_cache = None
-        self._oid_cache = None
+        reclaim_regions((self,))
         return dropped
 
     # ------------------------------------------------------------------
+    def oids_overlapping(self, lo: int, hi: int) -> List[int]:
+        """Oids of the objects intersecting [lo, hi) (card-segment scans)."""
+        if not self._oids:
+            return []
+        store = self._store
+        return overlapping(
+            self._oids, _Starts(self._oids, store.address), store, lo, hi
+        )
+
     def objects_overlapping(self, lo: int, hi: int) -> List[HeapObject]:
         """Objects intersecting [lo, hi) — used by card-segment scans."""
-        from bisect import bisect_left, bisect_right
+        return list(map(self._store.handle, self.oids_overlapping(lo, hi)))
 
-        if self._addr_cache is None:
-            self._addr_cache = [o.address for o in self.objects]
-        addrs = self._addr_cache
-        start = max(bisect_right(addrs, lo) - 1, 0)
-        stop = bisect_left(addrs, hi) + 1
-        return [
-            obj
-            for obj in self.objects[start:stop]
-            if obj.address < hi and obj.end_address() > lo
-        ]
+
+class _Starts:
+    """The start addresses of an oid run, read from the address column
+    (a sequence the binary search can index without a copy)."""
+
+    __slots__ = ("_oids", "_address")
+
+    def __init__(self, oids, address):
+        self._oids = oids
+        self._address = address
+
+    def __len__(self) -> int:
+        return len(self._oids)
+
+    def __getitem__(self, i: int) -> int:
+        return self._address[self._oids[i]]
+
+
+def reclaim_regions(regions: Iterable[Region]) -> None:
+    """Free regions in bulk (Section 3.3).
+
+    The space and region-id columns of every object in every region flip
+    in one batched write; then each region's allocation pointer is
+    zeroed, its live bit cleared and its dependency list deleted.
+    """
+    regions = list(regions)
+    store = None
+    oids: List[int] = []
+    for region in regions:
+        if region._oids:
+            store = region._store
+            oids.extend(region._oids)
+    if store is not None:
+        idx = np.array(oids, dtype=np.int64)
+        store.space_view()[idx] = SPACE_FREED
+        store.region_view()[idx] = -1
+    for region in regions:
+        region._oids = _NO_OIDS
+        region._oid_cache = None
+        region.top = region.start
+        region.live = False
+        region.label = None
+        region.deps = set()
 
 
 class RegionLiveness:

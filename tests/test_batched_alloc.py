@@ -400,7 +400,11 @@ def test_bump_allocation_keeps_eden_indexes_fresh():
     vm = ps_vm()
     eden = vm.heap.eden
     for count in (3, 5):
-        eden.oid_array(), eden._index()  # warm both caches
+        eden.oid_array()  # warm the cache
         vm.allocate_many([1 * KiB] * count, ["x"] * count)
         assert list(eden.oid_array()) == [o.oid for o in eden.objects]
-        assert list(eden._index()) == [o.address for o in eden.objects]
+        assert list(eden._addrs) == [o.address for o in eden.objects]
+        last = eden.objects[-1]
+        assert eden.oids_overlapping(last.address, last.address + 1) == [
+            last.oid
+        ]

@@ -10,6 +10,7 @@ from repro.devices.durability import DurableImage, image_of
 from repro.faults import FaultConfig
 from repro.heap.object_model import HeapObject
 from repro.teraheap.h2_heap import H2_BASE
+from repro.teraheap.promotion import DIRECT_WRITE_THRESHOLD, PromotionManager
 from repro.teraheap.recovery import RegionJournalEntry, header_page
 from repro.units import KiB, MiB
 from repro.experiments.chaoskill import (
@@ -218,39 +219,97 @@ def test_manifest_region_without_journal_is_unrecoverable():
 # ======================================================================
 # Promotion-buffer-aware copy batches (ROADMAP nibble)
 # ======================================================================
-def _mover(size, region_id):
+def _mover(size, region_id, offset):
     obj = HeapObject(size)
     obj.region_id = region_id
-    return (obj, f"r{region_id}")
+    obj.address = H2_BASE + region_id * 4 * MiB + offset
+    return obj.oid
+
+
+class _RecordingMapping:
+    """Stands in for the mapped file: records every device write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write_explicit(self, address, nbytes, safepoint="h2_write"):
+        self.writes.append((address, nbytes))
+
+    def write_explicit_many(self, spans, safepoint="h2_write"):
+        self.writes.extend(spans)
 
 
 def test_mover_copy_batches_match_buffer_flush_shape():
     vm = make_vm("none")  # buffer capacity 32 KiB (make_vm config)
     collector = vm.collector
+    store = vm.store
     movers = [
-        _mover(12 * KiB, 0),
-        _mover(30 * KiB, 1),  # interleaved region: grouped, order kept
-        _mover(12 * KiB, 0),
-        _mover(12 * KiB, 0),  # 36 KiB > 32 KiB: splits the region-0 run
-        _mover(2 * MiB, 1),  # >= direct-write threshold: singleton batch
-        _mover(4 * KiB, 1),
+        _mover(12 * KiB, 0, 0),
+        _mover(30 * KiB, 1, 0),  # interleaved region: grouped, order kept
+        _mover(12 * KiB, 0, 12 * KiB),
+        _mover(12 * KiB, 0, 24 * KiB),  # 36 KiB > 32 KiB: splits region 0
+        _mover(2 * MiB, 1, 30 * KiB),  # >= direct-write threshold: alone
+        _mover(4 * KiB, 1, 30 * KiB + 2 * MiB),
     ]
     batches = collector.mover_copy_batches(movers)
     shape = [
-        [(obj.size, label) for obj, label in batch] for batch in batches
+        [(store.size[oid], store.region_id[oid]) for oid in batch]
+        for batch in batches
     ]
     assert shape == [
-        [(12 * KiB, "r0"), (12 * KiB, "r0")],
-        [(12 * KiB, "r0")],
-        [(30 * KiB, "r1")],
-        [(2 * MiB, "r1")],
-        [(4 * KiB, "r1")],
+        [(12 * KiB, 0), (12 * KiB, 0)],
+        [(12 * KiB, 0)],
+        [(30 * KiB, 1)],
+        [(2 * MiB, 1)],
+        [(4 * KiB, 1)],
     ]
     # Every non-direct batch fits one promotion-buffer fill.
     capacity = vm.config.teraheap.promotion_buffer_size
     for batch in batches:
-        nbytes = sum(obj.size for obj, _ in batch)
+        nbytes = sum(store.size[oid] for oid in batch)
         assert nbytes <= capacity or len(batch) == 1
+
+    # The real promotion buffers flush exactly at the batch boundaries:
+    # written batch by batch, every device write covers exactly one
+    # batch, and a batch's writes are its region's previous buffered
+    # batch (if any) followed, for a direct write, by the object itself.
+    def extent(batch):
+        lo = min(store.address[oid] for oid in batch)
+        hi = max(store.address[oid] + store.size[oid] for oid in batch)
+        return (lo, hi - lo)
+
+    mapping = _RecordingMapping()
+    manager = PromotionManager(mapping, capacity)
+    pending = {}
+    for batch in batches:
+        before = len(mapping.writes)
+        manager.write_spans(
+            [
+                (store.address[oid], store.size[oid], store.region_id[oid])
+                for oid in batch
+            ]
+        )
+        region = store.region_id[batch[0]]
+        expected = []
+        if region in pending and (
+            store.size[batch[0]] >= DIRECT_WRITE_THRESHOLD
+            or sum(store.size[oid] for oid in pending[region])
+            + store.size[batch[0]]
+            > capacity
+        ):
+            expected.append(extent(pending.pop(region)))
+        if store.size[batch[0]] >= DIRECT_WRITE_THRESHOLD:
+            expected.append(extent(batch))
+        else:
+            pending[region] = batch
+        assert mapping.writes[before:] == expected
+    before = len(mapping.writes)
+    manager.flush_all()
+    assert mapping.writes[before:] == [extent(b) for b in pending.values()]
+    # No byte is written twice.
+    assert sum(n for _, n in mapping.writes) == sum(
+        store.size[oid] for oid in movers
+    )
 
 
 # ======================================================================

@@ -60,6 +60,21 @@ class TestPromotion:
         assert mgr.direct_writes == 1
         assert dev.traffic.bytes_written >= DIRECT_WRITE_THRESHOLD
 
+    def test_direct_write_flushes_its_region_buffer_first(self):
+        # 4 KiB + 2 MiB + 4 KiB in one region: the direct write must not
+        # land inside the later flush span of the region's buffer.
+        mgr, dev = self.make_manager()
+        big = DIRECT_WRITE_THRESHOLD * 2
+        first = self.place(4 * KiB, H2_BASE)
+        large = self.place(big, H2_BASE + 4 * KiB)
+        last = self.place(4 * KiB, H2_BASE + 4 * KiB + big)
+        for obj in (first, large, last):
+            mgr.write_object(obj, 0)
+        mgr.flush_all()
+        assert dev.traffic.bytes_written == big + 8 * KiB
+        assert mgr.objects_written == 3
+        assert mgr.bytes_written == big + 8 * KiB
+
     def test_flush_all_coalesces_shared_pages(self):
         mgr, dev = self.make_manager()
         # Two regions' objects on the same 4 KiB page.
