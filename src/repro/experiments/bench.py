@@ -180,14 +180,13 @@ def _store_rounds(
 ) -> Dict[str, float]:
     store = HeapStore()
     # oids are 1-based (row 0 is the sentinel).
-    for i, size in enumerate(sizes):
-        store.new_object(
-            size,
-            [t + 1 for t in targets[i]],
-            name="",
-            flags=0,
-            scan_factor=1.0,
-        )
+    store.new_objects(
+        sizes,
+        [""] * len(sizes),
+        flags=0,
+        scan_factor=1.0,
+        refs=[tuple(t + 1 for t in out) for out in targets],
+    )
     root_oids = np.asarray(roots, dtype=np.int64) + 1
     all_oids = np.arange(1, len(store), dtype=np.int64)
     # The edge table is static for this workload, so the CSR snapshot is

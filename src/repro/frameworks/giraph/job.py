@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ...heap.object_model import HeapObject
+from ...heap.store import SPACE_FREED
 from ...units import KiB
 from ...workloads.generators import GraphDataset
 from ...runtime import JavaVM
@@ -34,6 +35,21 @@ MAX_ARRAY_OBJECT = 12 * KiB
 
 #: label of the out-edge arrays' object group
 EDGES_LABEL = "edges-input"
+
+
+def _array_sizes(nbytes: int) -> List[int]:
+    """Object sizes of an ``nbytes`` byte array: its pieces of at most
+    ``MAX_ARRAY_OBJECT`` bytes, then the header referencing them (an
+    array that fits one object is that object alone)."""
+    if nbytes <= MAX_ARRAY_OBJECT:
+        return [max(nbytes, 64)]
+    full, rest = divmod(nbytes, MAX_ARRAY_OBJECT)
+    count = full + (1 if rest else 0)
+    sizes = [MAX_ARRAY_OBJECT] * full
+    if rest:
+        sizes.append(max(rest, 64))
+    sizes.append(max(64, 8 * count))
+    return sizes
 
 
 class GiraphJob:
@@ -57,7 +73,8 @@ class GiraphJob:
         self._edge_sizes = [graph.edge_array_size(v) for v in range(n)]
         self.partition_roots: List[HeapObject] = []
         self.incoming_root: Optional[HeapObject] = None
-        self.incoming_msgs: Dict[int, HeapObject] = {}
+        #: target vertex -> oid of its message batch in the incoming store
+        self.incoming_msgs: Dict[int, int] = {}
         #: message sizes for incoming messages offloaded by the OOC
         #: scheduler; reads pay a device round trip
         self.offloaded_msgs: Dict[int, int] = {}
@@ -81,6 +98,7 @@ class GiraphJob:
     # ==================================================================
     def load_graph(self) -> None:
         vm = self.vm
+        space = vm.store.space
         n = self.graph.num_vertices
         parts = self.conf.num_partitions
         # The partition store exists before loading begins; every vertex is
@@ -118,12 +136,10 @@ class GiraphJob:
             if v >= 64 and v % 2 == 0:
                 recent = v - 1 - (v % 29)
                 target = self.edge_roots[recent]
-                if target is not None and target.space.value != "freed":
-                    with vm.roots.frame() as frame:
-                        fragment = frame.push(
-                            vm.allocate(64, name=f"edge-frag-{v}")
-                        )
-                        vm.write_ref(target, fragment)
+                if target is not None and space[target.oid] != SPACE_FREED:
+                    vm.allocate_linked(
+                        target, (64,), (f"edge-frag-{v}",), (1,)
+                    )
             if self.ooc is not None and v % 32 == 31:
                 # The OOC scheduler watches pressure during loading too —
                 # without it, graphs larger than the heap cannot load.
@@ -137,22 +153,22 @@ class GiraphJob:
     def _allocate_array(self, nbytes: int, name: str, frame) -> HeapObject:
         """Allocate a byte array, split into <= MAX_ARRAY_OBJECT pieces."""
         vm = self.vm
-        if nbytes <= MAX_ARRAY_OBJECT:
-            return frame.push(vm.allocate(max(nbytes, 64), name=name))
-        full, rest = divmod(nbytes, MAX_ARRAY_OBJECT)
-        sizes = [MAX_ARRAY_OBJECT] * full
-        if rest:
-            sizes.append(max(rest, 64))
+        sizes = _array_sizes(nbytes)
+        if len(sizes) == 1:
+            return frame.push(vm.allocate(sizes[0], name=name))
         pieces = vm.allocate_many(
-            sizes, [f"{name}.{i}" for i in range(len(sizes))], frame=frame
+            sizes[:-1], [f"{name}.{i}" for i in range(len(sizes) - 1)],
+            frame=frame,
         )
-        return frame.push(
-            vm.allocate(max(64, 8 * len(pieces)), refs=pieces, name=name)
-        )
+        return frame.push(vm.allocate(sizes[-1], refs=pieces, name=name))
 
     # ==================================================================
     # Accessors used by the OOC scheduler
     # ==================================================================
+    def _freed(self, obj: HeapObject) -> bool:
+        """Was ``obj``'s H2 region reclaimed?"""
+        return self.vm.store.space[obj.oid] == SPACE_FREED
+
     def partition_vertices(self, pid: int) -> List[int]:
         return list(
             range(pid, self.graph.num_vertices, self.conf.num_partitions)
@@ -166,7 +182,7 @@ class GiraphJob:
         """
         edges = self.edge_roots[v]
         vertex = self.vertex_objs[v]
-        if edges is None or vertex is None or edges.space.value == "freed":
+        if edges is None or vertex is None or self._freed(edges):
             return 0, 0
         size = self._edge_sizes[v]
         self.vm.write_ref(vertex, None, remove=edges)
@@ -187,7 +203,7 @@ class GiraphJob:
         root = self.partition_roots[pid]
         for v in self.partition_vertices(pid):
             vertex = self.vertex_objs[v]
-            if vertex is None or vertex.space.value == "freed":
+            if vertex is None or self._freed(vertex):
                 continue
             edge_freed, edge_write = self.offload_edges(v)
             freed += edge_freed
@@ -201,7 +217,7 @@ class GiraphJob:
     def _vertex_for_compute(self, v: int) -> HeapObject:
         """The vertex object, reloading its partition entry if offloaded."""
         vertex = self.vertex_objs[v]
-        if vertex is not None and vertex.space.value != "freed":
+        if vertex is not None and not self._freed(vertex):
             return vertex
         if self.ooc is not None:
             self.ooc.maybe_offload()
@@ -221,11 +237,13 @@ class GiraphJob:
             return 0
         freed = 0
         vm = self.vm
-        for v, msg in list(self.incoming_msgs.items()):
-            if msg.space.value == "freed":
+        space = vm.store.space
+        size = vm.store.size
+        for v, msg in self.incoming_msgs.items():
+            if space[msg] == SPACE_FREED:
                 continue
-            freed += msg.size
-            self.offloaded_msgs[v] = msg.size
+            freed += size[msg]
+            self.offloaded_msgs[v] = size[msg]
         vm.clear_refs(self.incoming_root)
         self.incoming_msgs = {}
         return freed
@@ -296,7 +314,14 @@ class GiraphJob:
     def _fill_message_store(
         self, step: int, senders: np.ndarray, received: np.ndarray
     ):
-        """Allocate the superstep's aggregated per-target message batches."""
+        """Allocate the superstep's aggregated per-target message batches.
+
+        Every batch is a byte array (split as :meth:`_allocate_array`
+        splits it) appended to the store root; one
+        :meth:`~repro.runtime.JavaVM.allocate_linked` call allocates and
+        links them all.  Under OOC the scheduler's check after every
+        256th batch splits the call.
+        """
         vm = self.vm
         mask = senders[self._edge_sources]
         counts = np.bincount(
@@ -307,26 +332,39 @@ class GiraphJob:
         if self.conf.mode is GiraphMode.TERAHEAP:
             # Step 3 in Figure 5: tag the store as it is produced.
             vm.h2_tag_root(current_root, f"msgs-{step}")
-        msgs: Dict[int, HeapObject] = {}
-        targets = np.flatnonzero(received)
-        for t in targets:
-            if self.combiner is not None:
-                payload = self.combiner.combined_bytes(
-                    int(counts[t]), self.bytes_per_message
-                )
-            else:
-                payload = int(counts[t]) * self.bytes_per_message
-            nbytes = 64 + payload
-            with vm.roots.frame() as frame:
-                msg = self._allocate_array(nbytes, f"msg-{step}-{t}", frame)
-                # Appending to the (possibly H2-resident) store is the
-                # mutable-object update the transfer hint protects against.
-                vm.write_ref(current_root, msg)
-            msgs[int(t)] = msg
-            self.messages_sent += int(counts[t])
-            self.message_store_bytes += nbytes
-            if self.ooc is not None and len(msgs) % 256 == 0:
+        targets = np.flatnonzero(received).tolist()
+        target_counts = counts[targets].tolist()
+        if self.combiner is not None:
+            combined = self.combiner.combined_bytes
+            payloads = [
+                combined(c, self.bytes_per_message) for c in target_counts
+            ]
+        else:
+            payloads = [c * self.bytes_per_message for c in target_counts]
+        chunk = 256 if self.ooc is not None else max(len(targets), 1)
+        msgs: Dict[int, int] = {}
+        for lo in range(0, len(targets), chunk):
+            sizes: List[int] = []
+            names: List[str] = []
+            groups: List[int] = []
+            for t, payload in zip(
+                targets[lo:lo + chunk], payloads[lo:lo + chunk]
+            ):
+                pieces = _array_sizes(64 + payload)
+                name = f"msg-{step}-{t}"
+                if len(pieces) > 1:
+                    names.extend(f"{name}.{i}" for i in range(len(pieces) - 1))
+                names.append(name)
+                sizes.extend(pieces)
+                groups.append(len(pieces))
+            # Appending to the (possibly H2-resident) store is the
+            # mutable-object update the transfer hint protects against.
+            oids = vm.allocate_linked(current_root, sizes, names, groups)
+            msgs.update(zip(targets[lo:lo + chunk], oids))
+            if self.ooc is not None and len(oids) == chunk:
                 self.ooc.maybe_offload()
+        self.messages_sent += sum(target_counts)
+        self.message_store_bytes += 64 * len(targets) + sum(payloads)
         vm.compute(len(targets))
         return current_root, msgs
 
@@ -350,6 +388,16 @@ class GiraphJob:
         return self._tgt_cache
 
     def _compute_phase(self, step: int, senders: np.ndarray) -> None:
+        """One pass over the active vertices, partition by partition.
+
+        Each vertex reads itself, then its edges and its message batch,
+        then updates its value (a primitive store plus its barrier).  Runs
+        of such steps go to one
+        :meth:`~repro.runtime.JavaVM.write_refs_many` call; a vertex that
+        needs an out-of-core reload ends the run and takes
+        :meth:`_compute_vertex`, as does the OOC scheduler's check after
+        every 128th vertex.
+        """
         vm = self.vm
         active = np.flatnonzero(senders)
         vm.compute(len(active) * self.conf.ops_per_vertex)
@@ -358,31 +406,59 @@ class GiraphJob:
         # thrashing every partition on every vertex.
         parts = self.conf.num_partitions
         active = active[np.argsort(active % parts, kind="stable")]
-        for i, v in enumerate(active):
-            v = int(v)
-            self.current_partition = v % parts
-            vertex = self._vertex_for_compute(v)
-            # The vertex read stays apart: an offloaded edge array is
-            # reloaded (allocated and charged) before it can be read.
-            vm.read_object(vertex)
-            edges = self._edges_for_compute(v)
-            msg = self.incoming_msgs.get(v)
-            vm.read_many([o for o in (edges, msg) if o is not None])
+        space = vm.store.space
+        ooc = self.ooc
+        vertex_objs = self.vertex_objs
+        edge_roots = self.edge_roots
+        srcs: List[int] = []
+        reads: List[tuple] = []
+        for i, v in enumerate(active.tolist()):
+            vertex = vertex_objs[v]
+            edges = edge_roots[v]
+            # (The OOC scheduler may replace the incoming store mid-pass.)
+            msg = self.incoming_msgs.get(v, 0)
             if (
-                msg is None
-                and v in self.offloaded_msgs
-                and self.ooc is not None
+                vertex is None
+                or space[vertex.oid] == SPACE_FREED
+                or edges is None
+                or (not msg and ooc is not None and v in self.offloaded_msgs)
             ):
-                # The store was pushed out-of-core mid-superstep; pay the
-                # device round trip for this vertex's batch.
-                self.ooc.reload(
-                    self.offloaded_msgs.pop(v), key=("msg", step, v)
+                vm.write_refs_many(srcs, reads=reads)
+                srcs, reads = [], []
+                self.current_partition = v % parts
+                self._compute_vertex(step, v)
+            else:
+                oid = vertex.oid
+                srcs.append(oid)
+                reads.append(
+                    (oid, edges.oid, msg) if msg else (oid, edges.oid)
                 )
-            # Vertex value update: a primitive write, plus its barrier.
-            vm.write_ref(vertex, None)
-            if self.ooc is not None and i % 128 == 127:
-                self.ooc.maybe_offload()
+            if ooc is not None and i % 128 == 127:
+                vm.write_refs_many(srcs, reads=reads)
+                srcs, reads = [], []
+                self.current_partition = v % parts
+                ooc.maybe_offload()
+        vm.write_refs_many(srcs, reads=reads)
         self.current_partition = None
+
+    def _compute_vertex(self, step: int, v: int) -> None:
+        """One vertex's compute step, reloading offloaded state first."""
+        vm = self.vm
+        vertex = self._vertex_for_compute(v)
+        # The vertex read stays apart: an offloaded edge array is
+        # reloaded (allocated and charged) before it can be read.
+        vm.read_many((vertex,))
+        edges = self._edges_for_compute(v)
+        msg = self.incoming_msgs.get(v)
+        vm.read_many(
+            (edges,) if msg is None else (edges, vm.store.handle(msg))
+        )
+        if msg is None and v in self.offloaded_msgs and self.ooc is not None:
+            # The store was pushed out-of-core mid-superstep; pay the
+            # device round trip for this vertex's batch.
+            self.ooc.reload(self.offloaded_msgs.pop(v), key=("msg", step, v))
+        # Vertex value update: a primitive write, plus its barrier.
+        vm.write_ref(vertex, None)
 
     def _retire_incoming(self) -> None:
         """Drop the consumed message store (post-barrier)."""

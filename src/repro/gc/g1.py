@@ -215,12 +215,26 @@ class G1WriteBarrier:
         self.cost = cost
         self.barrier_count = 0
 
-    def on_reference_store(self, src: HeapObject, target) -> None:
-        self.barrier_count += 1
-        self.clock.charge(self.cost.barrier_cost * 3)
-        if src.space is SpaceId.OLD and target is not None and target.in_young:
-            self.collector.remset_sources.add(src.oid)
-            self.collector.remset_objects[src.oid] = src
+    @property
+    def store_cost(self) -> float:
+        """Seconds one reference store's barrier costs the mutator."""
+        return self.cost.barrier_cost * 3
+
+    def mark_stores(self, store, srcs, targets) -> None:
+        """Remembered-set entries of a run of stores ``srcs[i].field =
+        targets[i]`` (target 0: a primitive store); the caller charges
+        :attr:`store_cost` per store."""
+        space = store.space
+        collector = self.collector
+        for src, target in zip(srcs, targets):
+            if (
+                space[src] == SPACE_OLD
+                and target
+                and space[target] <= SPACE_TO
+            ):
+                collector.remset_sources.add(src)
+                collector.remset_objects[src] = store.handle(src)
+        self.barrier_count += len(srcs)
 
 
 class G1Collector(Collector):

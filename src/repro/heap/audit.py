@@ -143,9 +143,8 @@ class HeapAuditor:
         return int(sizes.sum()) == used
 
     def _check_space(self, space: Space, out: List[Violation]) -> None:
-        objs = space.objects
-        if objs and self._extent_clean(
-            objs[0]._store,
+        if space._oids and self._extent_clean(
+            space._store,
             space.oid_array(),
             SPACE_CODES[space.space_id],
             space.base,
@@ -200,10 +199,9 @@ class HeapAuditor:
 
     def _h2_region_clean(self, region) -> bool:
         """Vectorized twin of the per-object H2 region loop."""
-        objs = region.objects
-        if not objs:
+        if not region._oids:
             return region.used == 0
-        store = objs[0]._store
+        store = region._store
         oids = region.oid_array()
         if not self._extent_clean(
             store, oids, SPACE_H2, region.start, region.top, region.used
@@ -226,7 +224,7 @@ class HeapAuditor:
                         f"region {index} quarantined by recovery "
                         f"({reason})",
                         "no region allocated at a quarantined index",
-                        f"region holds {len(region.objects)} object(s)",
+                        f"region holds {region.object_count} object(s)",
                     )
                 )
         for region in self.h2.regions.values():
@@ -314,9 +312,9 @@ class HeapAuditor:
         """
         table = self.heap.card_table
         old = self.heap.old
-        if not old.objects:
+        if not old._oids:
             return
-        store = old.objects[0]._store
+        store = old._store
         oids = old.oid_array()
         flat, owner = store.gather_targets(oids)
         if not flat.size:
@@ -397,10 +395,9 @@ class HeapAuditor:
 
     def _h2_refs_clean(self, region) -> bool:
         """Vectorized no-dangling / dependency-closure sweep of a region."""
-        objs = region.objects
-        if not objs:
+        if not region._oids:
             return True
-        store = objs[0]._store
+        store = region._store
         flat, _ = store.gather_targets(region.oid_array())
         if not flat.size:
             return True
@@ -435,7 +432,7 @@ class HeapAuditor:
                     Violation(
                         "h2-live-bit",
                         f"region {region.index} "
-                        f"({len(region.objects)} objects, {region.used} B)",
+                        f"({region.object_count} objects, {region.used} B)",
                         "live bit set (survived this major GC)",
                         "live bit clear",
                     )

@@ -8,7 +8,7 @@ Section 4).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Tuple
+from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +48,17 @@ class CardTable:
     def mark(self, address: int) -> None:
         """Dirty the card covering ``address`` (post-write barrier)."""
         self._dirty.add(self.card_index(address))
+
+    def mark_all(self, addresses: Sequence[int]) -> None:
+        """Dirty the card covering each of ``addresses`` (a run of
+        post-write barriers)."""
+        if not addresses:
+            return
+        for address in (min(addresses), max(addresses)):
+            self.card_index(address)  # raises outside the table
+        base = self.base
+        card_size = self.card_size
+        self._dirty.update([(a - base) // card_size for a in addresses])
 
     def mark_object(self, address: int, size: int) -> None:
         """Dirty every card an object spans (object-start barriers vary;

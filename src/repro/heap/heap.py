@@ -106,10 +106,10 @@ class ManagedHeap:
         )
         self.survivor_from.space_id = SpaceId.FROM
         self.survivor_to.space_id = SpaceId.TO
-        survivors = self.survivor_from.objects
-        if survivors:
-            survivors[0]._store.set_space_batch(
-                self.survivor_from.oid_array(), SPACE_CODES[SpaceId.FROM]
+        survivors = self.survivor_from
+        if survivors._oids:
+            survivors._store.set_space_batch(
+                survivors.oid_array(), SPACE_CODES[SpaceId.FROM]
             )
 
     def all_objects(self) -> List[HeapObject]:

@@ -16,8 +16,9 @@ row indices.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional, Sequence
 
+from . import store as _store
 from .store import (
     FLAG_H2_CANDIDATE,
     FLAG_METADATA,
@@ -77,24 +78,24 @@ class RefList:
         self._store = store
         self._oid = oid
 
-    def _targets(self) -> List[int]:
+    def _targets(self) -> Sequence[int]:
         return self._store.refs[self._oid]
 
     # -- mutation ------------------------------------------------------
     def append(self, obj: "HeapObject") -> None:
-        self._targets().append(obj.oid)
+        self._store.mutable_refs(self._oid).append(obj.oid)
         self._store.edge_version += 1
 
     def extend(self, objs: Iterable["HeapObject"]) -> None:
-        self._targets().extend(o.oid for o in objs)
+        self._store.mutable_refs(self._oid).extend(o.oid for o in objs)
         self._store.edge_version += 1
 
     def remove(self, obj: "HeapObject") -> None:
-        self._targets().remove(obj.oid)
+        self._store.mutable_refs(self._oid).remove(obj.oid)
         self._store.edge_version += 1
 
     def clear(self) -> None:
-        self._targets().clear()
+        self._store.refs[self._oid] = ()
         self._store.edge_version += 1
 
     # -- access --------------------------------------------------------
@@ -190,12 +191,12 @@ class HeapObject:
             )
         if store is None:
             store = get_store()
-        oid = store.new_object(
-            size,
-            [o.oid for o in refs] if refs else (),
-            name,
+        oid = store.new_objects(
+            (size,),
+            (name,),
             object_flags(is_metadata, is_reference, serializable),
             scan_factor,
+            (tuple(o.oid for o in refs),) if refs else None,
         )
         self.oid = oid
         self._store = store
@@ -322,3 +323,5 @@ class HeapObject:
             f"@{self.address:#x}{tag}>"
         )
 
+
+_store._HANDLE_TYPE = HeapObject

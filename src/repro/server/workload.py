@@ -95,10 +95,10 @@ class CachedAnalyticsWorkload:
         cache = self._cached[self._iteration]
         batch = min(self.batch_chunks, self.chunks_total - self._cursor)
         vm.stall_for_capacity(batch * self.chunk_size)
-        for _ in range(batch):
-            obj = vm.allocate(self.chunk_size)
-            vm.write_ref(anchor, obj)
-            cache.append(obj)
+        oids = vm.allocate_linked(
+            anchor, [self.chunk_size] * batch, [""] * batch, [1] * batch
+        )
+        cache.extend(map(vm.store.handle, oids))
         vm.compute(batch * self.compute_ops_per_chunk)
         # Re-read a window of the previous iteration's cache.  Once that
         # iteration moved to H2, these are device reads through the
@@ -106,9 +106,13 @@ class CachedAnalyticsWorkload:
         prev = self._cached.get(self._iteration - 1)
         if prev:
             rereads = max(1, int(batch * self.reread_fraction))
-            for j in range(rereads):
-                obj = prev[(self.steps * 7 + j * 13) % len(prev)]
-                vm.read_object(obj, AccessPattern.RANDOM)
+            vm.read_many(
+                [
+                    prev[(self.steps * 7 + j * 13) % len(prev)]
+                    for j in range(rereads)
+                ],
+                AccessPattern.RANDOM,
+            )
         self._cursor += batch
         self.processed_bytes += batch * self.chunk_size
         self.steps += 1

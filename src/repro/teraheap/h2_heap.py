@@ -696,12 +696,6 @@ class H2Heap:
     # ------------------------------------------------------------------
     # Mutator access
     # ------------------------------------------------------------------
-    def mutator_load(
-        self, obj: HeapObject, pattern: AccessPattern = AccessPattern.SEQUENTIAL
-    ) -> None:
-        """A mutator reads an H2 object: fault pages in through the cache."""
-        self.mutator_load_spans(((obj.address, obj.size),), pattern)
-
     def mutator_load_spans(
         self,
         spans: Iterable[Tuple[int, int]],
@@ -713,7 +707,7 @@ class H2Heap:
         Under a resilience policy each span stays its own
         ``h2_mutator_load`` operation with its own retry and SIGBUS
         consult, so fault plans see the same operation sequence as one
-        :meth:`mutator_load` per object.
+        call per object.
         """
         if self.resilience is None:
             self.mapping.load_spans(spans, pattern)

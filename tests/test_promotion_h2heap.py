@@ -212,7 +212,7 @@ class TestH2Heap:
         obj = HeapObject(4096)
         h2.assign_address(obj, "a", 1)
         before = h2.clock.now
-        h2.mutator_load(obj)
+        h2.mutator_load_spans(((obj.address, obj.size),))
         assert h2.clock.now > before
 
     def test_mutator_store_is_rmw(self, h2):
