@@ -115,6 +115,13 @@ class TestSpace:
         s.allocate(big)
         assert s.objects_overlapping(4000, 4100) == [big]
 
+    def test_fresh_space_has_no_objects(self):
+        s = Space(SpaceId.OLD, 0, 10000)
+        assert s.objects == []
+        assert s.oids_overlapping(0, 10000) == []
+        assert s.objects_overlapping(0, 10000) == []
+        assert s.live_bytes() == 0
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigError):
             Space(SpaceId.EDEN, 0, -1)
